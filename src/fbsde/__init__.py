@@ -28,8 +28,6 @@ from .lattice import (
     build_lattice,
     interpolate,
     interpolate_values,
-    level_from_csv,
-    level_to_csv,
 )
 from .problems import (
     FbsdeProblem,
@@ -85,8 +83,6 @@ __all__ = [
     "get_problem",
     "interpolate",
     "interpolate_values",
-    "level_from_csv",
-    "level_to_csv",
     "run_experiment",
     "solve",
     "solve_weights",

@@ -15,10 +15,9 @@ with (a_q, ω_q) running over the tensor-product rule.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -44,12 +43,6 @@ class TensorRule:
     @property
     def npoints(self) -> int:
         return self.base.npoints**self.dim
-
-    def iter_points(self) -> Iterator[tuple[np.ndarray, float]]:
-        """Lazily enumerate (node vector, weight) in lexicographic index order."""
-        nodes, weights = self.base.nodes, self.base.weights
-        for idx in itertools.product(range(self.base.npoints), repeat=self.dim):
-            yield nodes[list(idx)], float(np.prod(weights[list(idx)]))
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (Q, dim) node array and (Q,) weight array, lexicographic order."""

@@ -11,10 +11,12 @@ computed from a window of k+m−1 already-sealed future levels:
   the E[Y ΔWᵀ] terms,
 * Y^n solves the implicit multi-step relation by Picard iteration.
 
-Coupled problems (a or b reading Y, Z) wrap the two updates in an outer
-fixed-point loop that refreshes the forward coefficients.  All reductions run
-in a fixed order with compensated summation, so repeated runs are
-bit-identical.
+One step function computes a level.  With a, b ignoring (Y, Z) a single
+frozen-coefficient pass is the level; a coupled problem repeats the pass in an
+outer fixed-point loop that refreshes the frozen forward coefficients.  One
+march loop calls it, both for the self-starting ramp and for the main march.
+All reductions run in a fixed order with compensated summation, so repeated
+runs are bit-identical.
 
 Spatially the scheme lives on an unbounded uniform lattice; a run only ever
 touches a finite cone of it.  Level n is computed on nodes within an active
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,7 +75,7 @@ class PicardDivergence(RuntimeError):
 
 
 class OuterDivergence(RuntimeError):
-    """The coupled outer fixed-point loop failed to converge within its cap."""
+    """A coupled fixed point (a level's outer loop or the terminal Z) did not converge."""
 
 
 @dataclass
@@ -87,12 +89,6 @@ class SolverConfig:
                        spatial error h^(r+1) against the time error Δt^(k+1)
     * ``gh_points``  — quadrature nodes per Brownian axis: 10 when the state
                        is scalar, 8 otherwise
-
-    ``domain_sigma`` pads the lattice hull by that many multiples of
-    |b|·√T beyond the query cone.  The cone already guarantees that every
-    quadrature point and interpolation stencil lands on computed data, so the
-    padding never changes results; it only reserves extra nodes (useful when
-    reusing the lattice for custom postprocessing).
     """
 
     k: int
@@ -107,7 +103,6 @@ class SolverConfig:
     outer_max: int = 200
     init_mode: str = "exact"
     init_substeps: int = 1
-    domain_sigma: float = 0.0
     max_nodes: int = 100_000_000
 
     def __post_init__(self) -> None:
@@ -126,10 +121,12 @@ class SolverConfig:
             )
         if self.init_substeps < 1:
             raise ValueError(f"init_substeps must be >= 1, got {self.init_substeps}")
-        if self.domain_sigma < 0:
-            raise ValueError(
-                f"domain_sigma must be non-negative, got {self.domain_sigma}"
-            )
+        for name in ("picard_max", "outer_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("picard_tol", "epsilon0"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -199,7 +196,6 @@ def _level_expectations(
     z: np.ndarray | None,
     rule: TensorRule,
     r: int,
-    clamp: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(E[Y^{n+j}], E[Y^{n+j} ΔWᵀ]) for j = 1..len(window), batched over x.
 
@@ -218,7 +214,7 @@ def _level_expectations(
         nodes, w, dw = euler_points(x, t_n, j, dt, problem, y, z, rule)
         flat = nodes.reshape(-1, lattice.dim)
         try:
-            vals = interpolate_values(lattice, level.y, flat, r, clamp=clamp)
+            vals = interpolate_values(lattice, level.y, flat, r)
         except OutOfDomain as exc:
             raise OutOfDomain(f"quadrature point for span j={j}: {exc}") from None
         weighted = vals.reshape(P, -1, m) * w[None, :, None]
@@ -239,7 +235,6 @@ def conditional_expectations(
     r: int,
     y: np.ndarray | None = None,
     z: np.ndarray | None = None,
-    clamp: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional expectations (E[Y^{n+j}], E[Y^{n+j} ΔWᵀ]) at one point.
 
@@ -247,8 +242,7 @@ def conditional_expectations(
     size is recovered from window[0].t − t_n.  When (y, z) are omitted they
     are read from level n+1 at x, which is the coefficient freeze used to
     start a coupled step.  Out-of-hull quadrature points raise
-    :class:`~fbsde.lattice.OutOfDomain` with the span attached unless
-    ``clamp`` is set.
+    :class:`~fbsde.lattice.OutOfDomain` with the span attached.
 
     Returns (Ey, EyW) with shapes (m,) and (m, d).
     """
@@ -259,16 +253,14 @@ def conditional_expectations(
     lattice = window[0].lattice
     near = window[0]
     if y is None:
-        y = interpolate_values(lattice, near.y, x, r, clamp=clamp)
+        y = interpolate_values(lattice, near.y, x, r)
     else:
         y = np.atleast_2d(np.asarray(y, float))
     if z is None:
-        z = interpolate_values(lattice, near.z, x, r, clamp=clamp)
+        z = interpolate_values(lattice, near.z, x, r)
     else:
         z = np.asarray(z, float).reshape(x.shape[0], near.m, near.d)
-    pairs = _level_expectations(
-        window[:j], x, t_n, dt, problem, y, z, rule, r, clamp=clamp
-    )
+    pairs = _level_expectations(window[:j], x, t_n, dt, problem, y, z, rule, r)
     ey, eyw = pairs[j - 1]
     return ey[0], eyw[0]
 
@@ -332,10 +324,6 @@ def y_update(
 # ---------------------------------------------------------------------------
 
 
-def _full_window(lattice: Lattice) -> tuple[slice, ...]:
-    return tuple(slice(0, s) for s in lattice.shape)
-
-
 def _window_nodes(lattice: Lattice, active: tuple[slice, ...]) -> np.ndarray:
     coords = [lattice.axis_coords(ax)[active[ax]] for ax in range(lattice.dim)]
     grids = np.meshgrid(*coords, indexing="ij")
@@ -389,43 +377,6 @@ def _sealed(
     return ValueLevel(lattice=lattice, t=t_n, y=y, z=z)
 
 
-def step_decoupled(
-    window: Sequence[ValueLevel],
-    t_n: float,
-    dt: float,
-    problem: FbsdeProblem,
-    coeffs: np.ndarray,
-    rule: TensorRule,
-    r: int,
-    picard_tol: float = 1e-14,
-    picard_max: int = 100,
-    active: tuple[slice, ...] | None = None,
-) -> tuple[ValueLevel, int]:
-    """Compute level n on the active window when a, b ignore (Y, Z).
-
-    ``window`` holds sealed levels n+1..n+k+m−1 in ascending order; ``coeffs``
-    the scaled window-sum weights.  ``active`` restricts the update to an
-    index window of the lattice (default: every node); quadrature points
-    launched from active nodes must land, stencil included, on data computed
-    in the window levels — callers size the windows so this holds.  Z is
-    explicit and computed before the implicit Y at each node.
-
-    Returns (level, Picard iterations).
-    """
-    near = window[0]
-    lattice = near.lattice
-    if active is None:
-        active = _full_window(lattice)
-    X = _window_nodes(lattice, active)
-    y_seed = near.y[active].reshape(-1, near.m)
-    z_seed = near.z[active].reshape(-1, near.m, near.d)
-    y_new, z_new, iters = _advance(
-        window, t_n, dt, problem, coeffs, rule, r, picard_tol, picard_max,
-        X, y_seed, z_seed, y_seed,
-    )
-    return _sealed(window, t_n, active, y_new, z_new), iters
-
-
 def step_coupled(
     window: Sequence[ValueLevel],
     t_n: float,
@@ -434,47 +385,52 @@ def step_coupled(
     coeffs: np.ndarray,
     rule: TensorRule,
     r: int,
-    picard_tol: float = 1e-14,
-    picard_max: int = 100,
-    epsilon0: float = 1e-12,
-    outer_max: int = 200,
-    active: tuple[slice, ...] | None = None,
+    active: tuple[slice, ...],
+    cfg: SolverConfig,
 ) -> tuple[ValueLevel, int, int]:
-    """Compute level n when the forward coefficients read (Y, Z).
+    """Compute level n on the ``active`` index window of the lattice.
 
-    Starts from (Y, Z) = level n+1 values, then repeats: freeze a, b at the
-    current iterate, recompute the quadrature expectations, apply the Z- and
-    Y-updates; stop when max(‖ΔY‖∞, ‖ΔZ‖∞) < ``epsilon0``.  On a problem
-    whose coefficients ignore (Y, Z) the first pass lands on the decoupled
-    answer and the second pass only confirms it.
+    ``window`` holds sealed levels n+1, n+2, … in ascending order and
+    ``coeffs`` the matching scaled window-sum weights.  Quadrature points
+    launched from active nodes must land, stencil included, on data computed
+    in the window levels; the march sizes the windows so this holds.
 
-    Returns (level, Picard iterations of the last pass, outer iterations).
+    A pass freezes a, b at the current (Y, Z) iterate, starting from the
+    level n+1 values, and applies the explicit Z-update and then the implicit
+    Y-update.  When a, b ignore (Y, Z) the first pass is the level.  A coupled
+    problem repeats the pass until max(‖ΔY‖∞, ‖ΔZ‖∞) < ``cfg.epsilon0`` and
+    raises :class:`OuterDivergence` after ``cfg.outer_max`` passes.
+
+    Returns (level, Picard iterations of the last pass, outer iterations);
+    the outer count is 0 for a decoupled problem, which runs no outer loop.
     """
     near = window[0]
-    lattice = near.lattice
-    if active is None:
-        active = _full_window(lattice)
-    X = _window_nodes(lattice, active)
-    y_cur = np.array(near.y[active].reshape(-1, near.m), copy=True)
-    z_cur = np.array(near.z[active].reshape(-1, near.m, near.d), copy=True)
+    X = _window_nodes(near.lattice, active)
     y_seed = near.y[active].reshape(-1, near.m)
+    y_cur, z_cur = y_seed, near.z[active].reshape(-1, near.m, near.d)
     delta = math.inf
-    for outer in range(1, outer_max + 1):
+    for outer in range(1, cfg.outer_max + 1):
         y_new, z_new, iters = _advance(
-            window, t_n, dt, problem, coeffs, rule, r, picard_tol, picard_max,
-            X, y_cur, z_cur, y_seed,
+            window, t_n, dt, problem, coeffs, rule, r, cfg.picard_tol,
+            cfg.picard_max, X, y_cur, z_cur, y_seed,
         )
+        if not problem.coupled:
+            return _sealed(window, t_n, active, y_new, z_new), iters, 0
         delta = max(
             float(np.max(np.abs(y_new - y_cur))),
             float(np.max(np.abs(z_new - z_cur))),
         )
         y_cur, z_cur = y_new, z_new
-        if delta < epsilon0:
+        if delta < cfg.epsilon0:
             return _sealed(window, t_n, active, y_cur, z_cur), iters, outer
     raise OuterDivergence(
-        f"coupled outer loop did not converge in {outer_max} iterations at "
-        f"t = {t_n:.6g} (last change {delta:.3e}, tol {epsilon0:.1e})"
+        f"coupled outer loop did not converge in {cfg.outer_max} iterations at "
+        f"t = {t_n:.6g} (last change {delta:.3e}, tol {cfg.epsilon0:.1e})"
     )
+
+
+#: The one level step under its decoupled name, which ``perfbench`` traces.
+step_decoupled = step_coupled
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +503,67 @@ def _active_window(lattice: Lattice, halfwidth: np.ndarray) -> tuple[slice, ...]
 
 
 # ---------------------------------------------------------------------------
+# March
+# ---------------------------------------------------------------------------
+
+
+def _march(
+    problem: FbsdeProblem,
+    cfg: SolverConfig,
+    rule: TensorRule,
+    r: int,
+    window: list[ValueLevel],
+    times: Iterable[float],
+    dt: float,
+    halfwidth: np.ndarray,
+    hop: np.ndarray,
+) -> Iterator[tuple[ValueLevel, int, int]]:
+    """Compute one level per entry of ``times`` and yield each as it seals.
+
+    ``window`` holds the newest sealed levels, newest first, and ``times``
+    the t_n of the levels to compute in marching order, ``dt`` apart.  The
+    window is rotated in place, so a level is freed once it leaves it.  With ℓ
+    sealed levels in hand the step uses the weight row of order
+    k′ = min(k, ℓ) and m′ = min(m_comb, ℓ+1−k′), so a full window of k+m−1
+    levels gives (k, m_comb) and a short one grows the order as history
+    accrues.  The active window starts ``halfwidth`` nodes wide and shrinks by
+    ``hop`` nodes per level.
+
+    Yields (level, Picard iterations, outer iterations) per level.
+    """
+    lattice = window[0].lattice
+    width = cfg.k + cfg.m_comb - 1
+    rows: dict[tuple[int, int], np.ndarray] = {}
+    for t_n in times:
+        k_eff = min(cfg.k, len(window))
+        m_eff = min(cfg.m_comb, len(window) + 1 - k_eff)
+        if (k_eff, m_eff) not in rows:
+            rows[k_eff, m_eff] = np.array(
+                [float(c) for c in solve_weights(k_eff, m_eff).window_sums()],
+                dtype=float,
+            )
+        coeffs = rows[k_eff, m_eff]
+        halfwidth = halfwidth - hop
+        if np.any(halfwidth < _W_FINAL):
+            raise TooFewNodes(
+                "lattice too small for the query cone: "
+                f"halfwidth {halfwidth.tolist()} at t = {t_n:.6g}"
+            )
+        level, piters, oiters = step_coupled(
+            window[: len(coeffs) - 1], t_n, dt, problem, coeffs, rule, r,
+            _active_window(lattice, halfwidth), cfg,
+        )
+        window.insert(0, level)
+        del window[width:]
+        yield level, piters, oiters
+
+
+# ---------------------------------------------------------------------------
 # Initialization
 # ---------------------------------------------------------------------------
+
+#: Iteration cap of the terminal-Z fixed point.
+_TERMINAL_Z_MAX = 50
 
 
 def _terminal_z(problem: FbsdeProblem, X: np.ndarray, y_term: np.ndarray) -> np.ndarray:
@@ -561,13 +576,19 @@ def _terminal_z(problem: FbsdeProblem, X: np.ndarray, y_term: np.ndarray) -> np.
         e[i] = step
         grad[:, :, i] = (problem.g(X + e) - problem.g(X - e)) / (2.0 * step)
     z = np.zeros((P, problem.m, problem.d))
-    for _ in range(50):
+    for _ in range(_TERMINAL_Z_MAX):
         b_val = np.asarray(problem.b(problem.T, X, y_term, z), float)
         z_new = np.einsum("pmn,pnd->pmd", grad, b_val)
-        if np.max(np.abs(z_new - z)) < 1e-13:
+        change = np.abs(z_new - z)
+        if np.max(change) < 1e-13:
             return z_new
         z = z_new
-    return z
+    worst = int(np.argmax(np.max(change.reshape(P, -1), axis=-1)))
+    raise OuterDivergence(
+        f"terminal Z fixed point did not converge in {_TERMINAL_Z_MAX} "
+        f"iterations at t = {problem.T:.6g}, node x = {X[worst]} "
+        f"(last change {float(np.max(change)):.3e}, tol 1.0e-13)"
+    )
 
 
 def initialize_levels(
@@ -576,7 +597,7 @@ def initialize_levels(
     cfg: SolverConfig,
     rule: TensorRule,
     r: int,
-    fine_hop: np.ndarray | None = None,
+    fine_hop: np.ndarray,
 ) -> dict[int, ValueLevel]:
     """Fill the top k+m−1 levels (indices n_steps−k−m+2 .. n_steps).
 
@@ -584,17 +605,15 @@ def initialize_levels(
     lattice (raising :class:`MissingAnalytic` when there is none).
 
     ``ramp`` mode is self-starting: the terminal level takes Y = g and the
-    gradient relation for Z, and the remaining startup levels are produced by
-    marching the scheme itself with a window that grows as history becomes
-    available — with ℓ sealed future levels the step uses k′ = min(k, ℓ) and
-    m′ = min(m_comb, ℓ+1−k′).  ``init_substeps`` refines the startup span in
-    time by an integer factor to sharpen the low-order startup levels.  The
-    active window shrinks by ``fine_hop`` nodes per fine substep (computed
-    from the sampled coefficient bounds when not given), so the ramp reads
-    only computed data, like the main march.
+    gradient relation for Z, and the remaining startup levels come from the
+    same march loop as the main solve, on a Δt/S subgrid with
+    S = ``init_substeps``.  The march starts from the terminal level alone,
+    so the scheme order grows as history becomes available, and every S-th
+    fine level is kept.  The active window starts at the lattice hull and
+    shrinks by ``fine_hop`` nodes per fine substep, so the ramp reads only
+    computed data, like the main march.
     """
-    k, m_comb = cfg.k, cfg.m_comb
-    width = k + m_comb - 1
+    width = cfg.k + cfg.m_comb - 1
     dt = problem.T / cfg.n_steps
     shape = lattice.shape
     levels: dict[int, ValueLevel] = {}
@@ -621,13 +640,6 @@ def initialize_levels(
     # Self-starting ramp.
     S = cfg.init_substeps
     dt_fine = dt / S
-    if fine_hop is None:
-        extent = np.maximum(lattice.hi, -lattice.lo) * lattice.h
-        a_max, b_max = _coefficient_bounds(problem, extent)
-        q_max = float(np.max(np.abs(rule.points()[0])))
-        fine_hop = _hop_indices(a_max, b_max, q_max, dt_fine, lattice.h, r)
-    fine_hop = np.asarray(fine_hop, int)
-
     X = lattice.nodes().reshape(-1, lattice.dim)
     y_term = np.asarray(problem.g(X), float)
     z_term = _terminal_z(problem, X, y_term)
@@ -638,46 +650,14 @@ def initialize_levels(
         z=z_term.reshape(shape + (problem.m, problem.d)),
     )
     levels[cfg.n_steps] = terminal
-
-    halfwidth = np.minimum(-lattice.lo, lattice.hi)
-    recent: list[ValueLevel] = [terminal]  # ascending from the newest level
-    coeff_cache: dict[tuple[int, int], np.ndarray] = {}
-    for step_idx in range(1, (width - 1) * S + 1):
-        avail = len(recent)
-        k_eff = min(k, avail)
-        m_eff = min(m_comb, avail - k_eff + 1)
-        key = (k_eff, m_eff)
-        if key not in coeff_cache:
-            ws = solve_weights(k_eff, m_eff)
-            coeff_cache[key] = np.array(
-                [float(c) for c in ws.window_sums()], dtype=float
-            )
-        coeffs = coeff_cache[key]
-        used = recent[: len(coeffs) - 1]
-        halfwidth = halfwidth - fine_hop
-        if np.any(halfwidth < _W_FINAL):
-            raise TooFewNodes(
-                "lattice too small for the ramp's query cone: "
-                f"halfwidth {halfwidth.tolist()} after {step_idx} substeps"
-            )
-        active = _active_window(lattice, halfwidth)
-        t_n = problem.T - step_idx * dt_fine
-        if problem.coupled:
-            level, _, _ = step_coupled(
-                used, t_n, dt_fine, problem, coeffs, rule, r,
-                cfg.picard_tol, cfg.picard_max, cfg.epsilon0, cfg.outer_max,
-                active=active,
-            )
-        else:
-            level, _ = step_decoupled(
-                used, t_n, dt_fine, problem, coeffs, rule, r,
-                cfg.picard_tol, cfg.picard_max, active=active,
-            )
-        recent.insert(0, level)
-        if len(recent) > width:
-            recent.pop()
-        if step_idx % S == 0:
-            levels[cfg.n_steps - step_idx // S] = level
+    times = (problem.T - i * dt_fine for i in range(1, (width - 1) * S + 1))
+    march = _march(
+        problem, cfg, rule, r, [terminal], times, dt_fine,
+        np.minimum(-lattice.lo, lattice.hi), fine_hop,
+    )
+    for i, (level, _, _) in enumerate(march, 1):
+        if i % S == 0:
+            levels[cfg.n_steps - i // S] = level
     return levels
 
 
@@ -692,11 +672,13 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     The lattice is sized from the query cone: level n is computed on a window
     that exceeds the final (t = 0) window by n hops, each hop covering the
     per-level quadrature reach plus the interpolation stencil, so no read ever
-    leaves computed data.  Returns a :class:`SolveResult` with the (m,)-vector
-    ``y0`` and the (m, d)-matrix ``z0`` read directly at the lattice node x0
-    (x0 is a node by construction), plus diagnostics: the resolved
-    discretization, cone geometry, per-level Picard/outer iteration counts,
-    and wall time.
+    leaves computed data.  :func:`initialize_levels` fills the top k+m−1
+    levels and the march loop it shares with the ramp computes the rest with
+    the full (k, m_comb) window.  Returns a :class:`SolveResult` with the
+    (m,)-vector ``y0`` and the (m, d)-matrix ``z0`` read directly at the
+    lattice node x0 (x0 is a node by construction), plus diagnostics: the
+    resolved discretization, cone geometry, per-level Picard/outer iteration
+    counts, and wall time.
     """
     start = time.perf_counter()
     k, m_comb = cfg.k, cfg.m_comb
@@ -722,43 +704,30 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
         half = _W_FINAL + cfg.n_steps * hop
         if cfg.init_mode == "ramp":
             half = half + (width - 1) * cfg.init_substeps * fine_hop
-        new_radius = half * h + cfg.domain_sigma * b_max * math.sqrt(problem.T)
+        new_radius = half * h
         if np.all(new_radius <= radius):
             break
         radius = new_radius
     lattice = build_lattice(problem.x0, h, radius, r=r, max_nodes=cfg.max_nodes)
 
-    coeffs = np.array(
-        [float(c) for c in solve_weights(k, m_comb).window_sums()], dtype=float
+    top = initialize_levels(problem, lattice, cfg, rule, r, fine_hop)
+    first = cfg.n_steps - width
+    march = _march(
+        problem, cfg, rule, r,
+        [top.pop(i) for i in range(first + 1, cfg.n_steps + 1)],
+        (n * dt for n in range(first, -1, -1)), dt,
+        _W_FINAL + (first + 1) * hop, hop,
     )
-
-    levels = initialize_levels(problem, lattice, cfg, rule, r, fine_hop=fine_hop)
-    window = [levels[i] for i in range(cfg.n_steps - width + 1, cfg.n_steps + 1)]
-
     picard_per_level: list[int] = []
     outer_per_level: list[int] = []
-    for n in range(cfg.n_steps - width, -1, -1):
-        t_n = n * dt
-        active = _active_window(lattice, _W_FINAL + n * hop)
-        if problem.coupled:
-            level, piters, oiters = step_coupled(
-                window, t_n, dt, problem, coeffs, rule, r,
-                cfg.picard_tol, cfg.picard_max, cfg.epsilon0, cfg.outer_max,
-                active=active,
-            )
-            outer_per_level.append(oiters)
-        else:
-            level, piters = step_decoupled(
-                window, t_n, dt, problem, coeffs, rule, r,
-                cfg.picard_tol, cfg.picard_max, active=active,
-            )
+    for level, piters, oiters in march:
         picard_per_level.append(piters)
-        window.insert(0, level)
-        window.pop()
+        if oiters:
+            outer_per_level.append(oiters)
 
     origin_index = tuple(-lo for lo in lattice.lo)
-    y0 = np.array(window[0].y[origin_index], copy=True)
-    z0 = np.array(window[0].z[origin_index], copy=True)
+    y0 = np.array(level.y[origin_index], copy=True)
+    z0 = np.array(level.z[origin_index], copy=True)
     diagnostics = {
         "problem": problem.name,
         "config": asdict(cfg),
@@ -772,8 +741,8 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
         "coefficient_bounds": {"a_max": a_max.tolist(), "b_max": b_max.tolist()},
         "cone_hop_nodes": hop.tolist(),
         "active_halfwidth_final": _W_FINAL,
-        "active_halfwidth_first": (_W_FINAL + (cfg.n_steps - width) * hop).tolist(),
-        "levels_marched": cfg.n_steps - width + 1,
+        "active_halfwidth_first": (_W_FINAL + first * hop).tolist(),
+        "levels_marched": first + 1,
         "picard_iterations": picard_per_level,
         "picard_iterations_max": max(picard_per_level, default=0),
         "outer_iterations": outer_per_level,

@@ -108,12 +108,6 @@ def test_tensor_rule_structure():
     base = rule.base.nodes
     assert pts[:3, 0] == pytest.approx([base[0]] * 3, abs=0)
     assert pts[:3, 1] == pytest.approx(base, abs=0)
-    # Lazy iteration agrees with the dense arrays.
-    lazy = list(rule.iter_points())
-    assert len(lazy) == 9
-    for (node, weight), dense_node, dense_w in zip(lazy, pts, w):
-        assert node == pytest.approx(dense_node, abs=0)
-        assert weight == pytest.approx(dense_w, rel=1e-15)
 
 
 def test_tensor_dim_validated():

@@ -1,4 +1,4 @@
-"""Lattice construction, barycentric interpolation, and CSV level dumps."""
+"""Lattice construction and barycentric interpolation."""
 from __future__ import annotations
 
 import numpy as np
@@ -15,8 +15,6 @@ from fbsde.lattice import (
     build_lattice,
     interpolate,
     interpolate_values,
-    level_from_csv,
-    level_to_csv,
 )
 
 
@@ -98,6 +96,33 @@ def test_node_queries_return_stored_values_bitwise():
     assert np.array_equal(got, values)
 
 
+def test_gather_matches_per_axis_weighting_bitwise():
+    # Reference: index each axis separately, weight a fresh copy, sum axis by axis.
+    rng = np.random.default_rng(5)
+    lat = build_lattice(np.array([0.1, -0.2]), 0.05, np.array([0.6, 0.4]))
+    values = rng.uniform(-3, 3, size=lat.shape + (2, 1))
+    queries = rng.uniform(-0.3, 0.3, size=(37, 2)) + lat.origin
+    r = 4
+    idx, weights = [], []
+    for ax in range(2):
+        starts, w = _axis_stencil(
+            (queries[:, ax] - lat.origin[ax]) / lat.h, r, int(lat.lo[ax]), int(lat.hi[ax])
+        )
+        shape = [len(queries), 1, 1]
+        shape[1 + ax] = r + 1
+        idx.append((starts[:, None] - int(lat.lo[ax]) + np.arange(r + 1)).reshape(shape))
+        weights.append(w)
+    want = values[tuple(idx)]
+    for w in weights:
+        want = np.sum(want * w.reshape(w.shape + (1,) * (want.ndim - 2)), axis=1)
+    got = interpolate_values(lat, values, queries, r, chunk=8)
+    assert np.array_equal(got, want)
+    ints = np.round(values * 100).astype(int)
+    got_int = interpolate_values(lat, ints, queries, r, chunk=8)
+    want_int = interpolate_values(lat, ints.astype(float), queries, r).astype(int)
+    assert np.array_equal(got_int, want_int)
+
+
 def test_stencil_tie_goes_to_lower_start():
     starts, w = _axis_stencil(np.array([2.0]), r=3, lo=-10, hi=10)
     assert starts[0] == 0  # centered run {0,1,2,3} around 2 after the tie rule
@@ -118,15 +143,6 @@ def test_out_of_domain_raises_beyond_half_cell():
         interpolate_values(lat, values, np.array([[1.26]]), r=2)
     assert "axis 0" in str(err.value)
     assert "hull" in str(err.value)
-
-
-def test_clamp_projects_onto_hull():
-    lat = build_lattice(0.0, 0.5, 1.0)
-    values = (lat.axis_coords(0) ** 2)[:, None]
-    far = np.array([[3.7], [-2.9]])
-    clamped = interpolate_values(lat, values, far, r=2, clamp=True)
-    edge = interpolate_values(lat, values, np.array([[1.0], [-1.0]]), r=2)
-    assert np.array_equal(clamped, edge)
 
 
 def test_interpolate_values_validation():
@@ -172,43 +188,6 @@ def test_interpolate_single_point_shapes():
     y, z = interpolate(level, [0.1, -0.2], r=3)
     assert y.shape == (2,)
     assert z.shape == (2, 2)
-
-
-def test_csv_round_trip_is_bit_identical(tmp_path):
-    rng = np.random.default_rng(19)
-    lat = build_lattice([0.4, -0.7], 0.3, [0.9, 1.2])
-    level = ValueLevel(
-        lattice=lat,
-        t=0.25,
-        y=rng.normal(size=lat.shape + (2,)),
-        z=rng.normal(size=lat.shape + (2, 3)),
-    )
-    path = tmp_path / "level.csv"
-    level_to_csv(level, path)
-    header = path.read_text().splitlines()[0].split(",")
-    assert header[0] == "2"
-    assert float(header[1]) == 0.3
-    assert header[4] == "2" and header[5] == "3"
-    loaded = level_from_csv(path, origin=lat.origin, t=0.25)
-    assert np.array_equal(loaded.y, level.y)
-    assert np.array_equal(loaded.z, level.z)
-    assert loaded.lattice.shape == lat.shape
-    assert loaded.lattice.h == lat.h
-    assert np.array_equal(loaded.lattice.origin, lat.origin)
-    assert loaded.t == 0.25
-
-
-def test_csv_defaults_anchor_origin_zero(tmp_path):
-    lat = build_lattice(0.0, 0.5, 1.0)
-    level = ValueLevel(
-        lattice=lat, t=0.0,
-        y=np.ones(lat.shape + (1,)), z=np.zeros(lat.shape + (1, 1)),
-    )
-    path = tmp_path / "level.csv"
-    level_to_csv(level, path)
-    loaded = level_from_csv(path)
-    assert np.array_equal(loaded.lattice.origin, np.zeros(1))
-    assert loaded.t == 0.0
 
 
 def test_interpolation_error_shrinks_at_expected_order():

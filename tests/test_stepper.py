@@ -12,6 +12,7 @@ from fbsde.lattice import ValueLevel, build_lattice
 from fbsde.problems import FbsdeProblem, get_problem
 from fbsde.stepper import (
     MissingAnalytic,
+    OuterDivergence,
     PicardDivergence,
     SolveResult,
     SolverConfig,
@@ -79,7 +80,10 @@ def _window(lattice, times, yfun):
         dict(k=3, n_steps=16, m_comb=0),
         dict(k=3, n_steps=16, init_mode="bogus"),
         dict(k=3, n_steps=16, init_substeps=0),
-        dict(k=3, n_steps=16, domain_sigma=-0.5),
+        dict(k=3, n_steps=16, picard_max=0),
+        dict(k=3, n_steps=16, outer_max=0),
+        dict(k=3, n_steps=16, picard_tol=0.0),
+        dict(k=3, n_steps=16, epsilon0=-1e-12),
     ],
 )
 def test_config_validation(kwargs):
@@ -270,13 +274,35 @@ def test_exact_init_requires_closed_form():
 def test_coupled_mode_reproduces_decoupled_solution():
     problem = get_problem("example1")
     as_coupled = dataclasses.replace(problem, coupled=True)
-    cfg = SolverConfig(k=3, n_steps=12)
-    res_dec = solve(problem, cfg)
-    res_cpl = solve(as_coupled, cfg)
-    assert abs(res_dec.y0[0] - res_cpl.y0[0]) <= 1e-12
-    assert abs(res_dec.z0[0, 0] - res_cpl.z0[0, 0]) <= 1e-12
-    assert res_cpl.diagnostics["outer_iterations_max"] >= 1
-    assert res_dec.diagnostics["outer_iterations"] == []
+    for cfg in (
+        SolverConfig(k=3, n_steps=12),
+        SolverConfig(k=5, n_steps=16, init_mode="ramp", init_substeps=2),
+    ):
+        res_dec = solve(problem, cfg)
+        res_cpl = solve(as_coupled, cfg)
+        assert np.array_equal(res_dec.y0, res_cpl.y0), cfg
+        assert np.array_equal(res_dec.z0, res_cpl.z0), cfg
+        assert res_cpl.diagnostics["outer_iterations_max"] >= 1
+        assert res_dec.diagnostics["outer_iterations"] == []
+
+
+def test_terminal_z_divergence_is_reported():
+    """An expansive terminal map z ↦ ∇g·b = 1 + 2z raises instead of returning."""
+    problem = FbsdeProblem(
+        name="expansive", n=1, m=1, d=1, T=1.0, x0=np.array([0.0]),
+        a=lambda t, x, y, z: np.zeros_like(x),
+        b=lambda t, x, y, z: 1.0 + 2.0 * z,
+        f=lambda t, x, y, z: np.zeros_like(y),
+        g=lambda x: x.copy(),
+        coupled=True,
+    )
+    cfg = SolverConfig(k=3, n_steps=6, init_mode="ramp")
+    with pytest.raises(OuterDivergence) as err:
+        solve(problem, cfg)
+    message = str(err.value)
+    assert "terminal Z" in message
+    assert "node x =" in message
+    assert "last change" in message
 
 
 def test_solver_is_deterministic():
@@ -286,15 +312,6 @@ def test_solver_is_deterministic():
     second = solve(problem, cfg)
     assert np.array_equal(first.y0, second.y0)
     assert np.array_equal(first.z0, second.z0)
-
-
-def test_domain_padding_reserves_nodes_without_changing_results():
-    problem = get_problem("example1")
-    base = solve(problem, SolverConfig(k=3, n_steps=8))
-    padded = solve(problem, SolverConfig(k=3, n_steps=8, domain_sigma=2.0))
-    assert np.array_equal(base.y0, padded.y0)
-    assert np.array_equal(base.z0, padded.z0)
-    assert padded.diagnostics["num_nodes"] > base.diagnostics["num_nodes"]
 
 
 def test_ramp_initialization_accuracy():
