@@ -14,7 +14,6 @@ import json
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from statistics import median
 
@@ -249,17 +248,15 @@ def _fit_rates(ks, cells) -> tuple[dict, dict]:
 def run_experiment(
     spec: ExperimentSpec,
     budget_seconds: float | None = None,
-    parallel_cells: int = 1,
 ) -> Report:
     """Run every (k, n_steps) cell and assemble a :class:`Report`.
 
     A cell that would start after ``budget_seconds`` of elapsed wall time is
     marked "skipped" instead of run (the gate is checked as each cell starts,
     so an expensive tail of a sweep is shed without killing work in flight).
-    With ``parallel_cells`` > 1 the cells execute on a thread pool; the
-    report is assembled in sorted (k, n_steps) order either way, so output
-    is deterministic up to wall times.  Schemes whose stability check fails
-    are still run, with a warning.
+    The report lists cells in sorted (k, n_steps) order, so output is
+    deterministic up to wall times.  Schemes whose stability check fails are
+    still run, with a warning.
     """
     problem = get_problem(spec.problem)
     for k in sorted(set(spec.ks)):
@@ -272,21 +269,14 @@ def run_experiment(
     start = time.monotonic()
     overrides = spec.solver_overrides()
 
-    def worker(cell: tuple[int, int]) -> CellResult:
-        k, n = cell
+    results: list[CellResult] = []
+    for k, n in spec.cells():
         if budget_seconds is not None and time.monotonic() - start >= budget_seconds:
-            return CellResult(
+            results.append(CellResult(
                 k=k, n_steps=n, status="skipped", message="budget exhausted"
-            )
-        return run_cell(problem, k, n, overrides, spec.repetitions)
-
-    cells_in = spec.cells()
-    if parallel_cells > 1:
-        with ThreadPoolExecutor(max_workers=parallel_cells) as pool:
-            results = list(pool.map(worker, cells_in))
-    else:
-        results = [worker(c) for c in cells_in]
-    results.sort(key=lambda c: (c.k, c.n_steps))
+            ))
+        else:
+            results.append(run_cell(problem, k, n, overrides, spec.repetitions))
 
     rates, endpoint = _fit_rates(spec.ks, results)
     y_ref, z_ref = _reference(problem)

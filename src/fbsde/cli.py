@@ -152,11 +152,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_experiment(
-            spec,
-            budget_seconds=args.budget_seconds,
-            parallel_cells=args.parallel_cells,
-        )
+        report = run_experiment(spec, budget_seconds=args.budget_seconds)
     except KeyError as exc:  # unknown problem key
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
@@ -197,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--budget-seconds", dest="budget_seconds", type=float,
                        default=None,
                        help="skip cells that would start after this much elapsed time")
-    p_run.add_argument("--parallel-cells", dest="parallel_cells", type=int, default=1,
-                       help="run up to this many cells concurrently (default 1)")
     p_run.add_argument("--format", choices=["json", "csv", "md"], default=None)
     p_run.add_argument("--out", help="output path (stdout when omitted)")
     p_run.set_defaults(func=_cmd_run)

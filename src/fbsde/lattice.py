@@ -32,7 +32,7 @@ class TooFewNodes(ValueError):
 
 
 class OutOfDomain(ValueError):
-    """Raised when a query lies beyond the lattice hull by more than h/2."""
+    """Raised when a query, or the stencil it needs, lies outside the data."""
 
 
 @dataclass(frozen=True)
@@ -148,14 +148,23 @@ def _binomial_weights(r: int) -> np.ndarray:
     return np.array([(-1) ** i * math.comb(r, i) for i in range(r + 1)], dtype=float)
 
 
+def stencil_start(u: np.ndarray, r: int) -> np.ndarray:
+    """First index of the run of r+1 indices nearest ``u``, before any clipping.
+
+    ``u`` is in absolute index coordinates; exact midway ties go to the lower
+    start.  The start is non-decreasing in u.
+    """
+    return np.ceil(u - r / 2.0 - 0.5).astype(int)
+
+
 def _axis_stencil(u: np.ndarray, r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Stencil starts and normalized barycentric weights along one axis.
 
     ``u`` is the query in absolute index coordinates.  The stencil is the run
-    of r+1 indices nearest u, clipped into [lo, hi]; exact midway ties go to
-    the lower start.  Node-coincident queries return one-hot weights.
+    of r+1 indices nearest u (:func:`stencil_start`), clipped into [lo, hi].
+    Node-coincident queries return one-hot weights.
     """
-    starts = np.ceil(u - r / 2.0 - 0.5).astype(int)
+    starts = stencil_start(u, r)
     np.clip(starts, lo, hi - r, out=starts)
     local = u - starts
     dist = local[:, None] - np.arange(r + 1)[None, :]

@@ -19,13 +19,16 @@ All reductions run in a fixed order with compensated summation, so repeated
 runs are bit-identical.
 
 Spatially the scheme lives on an unbounded uniform lattice; a run only ever
-touches a finite cone of it.  Level n is computed on nodes within an active
-window around x0 that shrinks as the march approaches t = 0: the window at
-level n exceeds the window at level n−1 by enough nodes that every quadrature
-point launched from an active node — and the full interpolation stencil
-around it — lands inside the active window of the level it reads.  Values
-are therefore never extrapolated, clamped, or read from uninitialized nodes;
-entries outside a level's window are NaN and unreachable by construction.
+touches a finite cone of it.  Each marched level is stored on its own window
+lattice, the nodes within a half-width of x0 that shrinks as the march
+approaches t = 0: the window at level n exceeds the window at level n−1 by
+enough nodes that every quadrature point launched from a node of level n−1 —
+and the full interpolation stencil around it — lands inside the window of
+the level it reads.  Values are therefore never extrapolated, clamped, or
+read from uncomputed nodes.  The cone is sized from sampled coefficient
+bounds, so each read checks it: a stencil that would leave the level's window
+raises :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the axis and
+the overhang in nodes.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .lattice import (
     ValueLevel,
     build_lattice,
     interpolate_values,
+    stencil_start,
 )
 from .problems import FbsdeProblem
 
@@ -103,7 +107,6 @@ class SolverConfig:
     outer_max: int = 200
     init_mode: str = "exact"
     init_substeps: int = 1
-    max_nodes: int = 100_000_000
 
     def __post_init__(self) -> None:
         if not 3 <= self.k <= 9:
@@ -186,6 +189,31 @@ def euler_points(
     return nodes, w, dw_full
 
 
+def _check_cone(
+    level: ValueLevel, nodes: np.ndarray, r: int, t_n: float, j: int
+) -> None:
+    """Raise unless every node's degree-r stencil lies inside ``level``'s lattice.
+
+    Stencil starts are non-decreasing in the query, so the per-axis min and
+    max of ``nodes`` bound every stencil the interpolation would use.  This is
+    the run-time check of the query-cone invariant: a read outside the
+    computed window would otherwise shift its stencil inward in silence.
+    """
+    lattice = level.lattice
+    # Reduce one column at a time: ``min(axis=0)`` of an (N, 2) array runs its
+    # inner loop over the short axis and is an order of magnitude slower.
+    ends = np.array([(col.min(), col.max()) for col in nodes.T])
+    first, last = stencil_start((ends - lattice.origin[:, None]) / lattice.h, r).T
+    overhang = np.maximum(lattice.lo - first, last + r - lattice.hi)
+    if np.any(overhang > 0):
+        ax = int(np.argmax(overhang))
+        raise OutOfDomain(
+            f"query cone too small at t = {t_n:.6g}, span j={j}: a degree-{r} "
+            f"stencil overhangs the computed window of level t = {level.t:.6g} "
+            f"by {int(overhang[ax])} node(s) on axis {ax}"
+        )
+
+
 def _level_expectations(
     window: Sequence[ValueLevel],
     x: np.ndarray,
@@ -199,12 +227,12 @@ def _level_expectations(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(E[Y^{n+j}], E[Y^{n+j} ΔWᵀ]) for j = 1..len(window), batched over x.
 
-    ``window[j-1]`` holds sealed level n+j.  The interpolated level values at
-    the quadrature nodes are computed once per (x, j, q) and reused by both
-    moments.  Quadrature sums are compensated and run in fixed (j, q) order.
-    Returns pairs with shapes (P, m) and (P, m, d).
+    ``window[j-1]`` holds sealed level n+j, interpolated on its own lattice.
+    The interpolated level values at the quadrature nodes are computed once
+    per (x, j, q) and reused by both moments.  Quadrature sums are compensated
+    and run in fixed (j, q) order.  Returns pairs with shapes (P, m) and
+    (P, m, d).
     """
-    lattice = window[0].lattice
     P = x.shape[0]
     m = window[0].m
     norm = math.pi ** (-rule.dim / 2.0)
@@ -212,11 +240,9 @@ def _level_expectations(
     for j in range(1, len(window) + 1):
         level = window[j - 1]
         nodes, w, dw = euler_points(x, t_n, j, dt, problem, y, z, rule)
-        flat = nodes.reshape(-1, lattice.dim)
-        try:
-            vals = interpolate_values(lattice, level.y, flat, r)
-        except OutOfDomain as exc:
-            raise OutOfDomain(f"quadrature point for span j={j}: {exc}") from None
+        flat = nodes.reshape(-1, level.lattice.dim)
+        _check_cone(level, flat, r, t_n, j)
+        vals = interpolate_values(level.lattice, level.y, flat, r)
         weighted = vals.reshape(P, -1, m) * w[None, :, None]
         ey = norm * kahan_sum(np.moveaxis(weighted, 1, 0))
         prod = weighted[..., None] * dw[:, :, None, :]
@@ -241,8 +267,10 @@ def conditional_expectations(
     ``window`` is the ascending list of sealed levels n+1, n+2, …; the step
     size is recovered from window[0].t − t_n.  When (y, z) are omitted they
     are read from level n+1 at x, which is the coefficient freeze used to
-    start a coupled step.  Out-of-hull quadrature points raise
-    :class:`~fbsde.lattice.OutOfDomain` with the span attached.
+    start a coupled step.  A quadrature point whose degree-r stencil leaves
+    the lattice of the level it reads raises
+    :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the axis and
+    the overhang in nodes.
 
     Returns (Ey, EyW) with shapes (m,) and (m, d).
     """
@@ -250,14 +278,13 @@ def conditional_expectations(
         raise ValueError(f"span j must be in 1..{len(window)}, got {j}")
     x = np.atleast_2d(np.asarray(x, float))
     dt = window[0].t - t_n
-    lattice = window[0].lattice
     near = window[0]
     if y is None:
-        y = interpolate_values(lattice, near.y, x, r)
+        y = interpolate_values(near.lattice, near.y, x, r)
     else:
         y = np.atleast_2d(np.asarray(y, float))
     if z is None:
-        z = interpolate_values(lattice, near.z, x, r)
+        z = interpolate_values(near.lattice, near.z, x, r)
     else:
         z = np.asarray(z, float).reshape(x.shape[0], near.m, near.d)
     pairs = _level_expectations(window[:j], x, t_n, dt, problem, y, z, rule, r)
@@ -324,12 +351,6 @@ def y_update(
 # ---------------------------------------------------------------------------
 
 
-def _window_nodes(lattice: Lattice, active: tuple[slice, ...]) -> np.ndarray:
-    coords = [lattice.axis_coords(ax)[active[ax]] for ax in range(lattice.dim)]
-    grids = np.meshgrid(*coords, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
 def _advance(
     window: Sequence[ValueLevel],
     t_n: float,
@@ -359,24 +380,6 @@ def _advance(
     return y_new, z_new, iters
 
 
-def _sealed(
-    window: Sequence[ValueLevel],
-    t_n: float,
-    active: tuple[slice, ...],
-    y_flat: np.ndarray,
-    z_flat: np.ndarray,
-) -> ValueLevel:
-    """Wrap computed window values into a level; nodes outside stay NaN."""
-    lattice = window[0].lattice
-    m, d = window[0].m, window[0].d
-    wshape = tuple(s.stop - s.start for s in active)
-    y = np.full(lattice.shape + (m,), np.nan)
-    z = np.full(lattice.shape + (m, d), np.nan)
-    y[active] = y_flat.reshape(wshape + (m,))
-    z[active] = z_flat.reshape(wshape + (m, d))
-    return ValueLevel(lattice=lattice, t=t_n, y=y, z=z)
-
-
 def step_coupled(
     window: Sequence[ValueLevel],
     t_n: float,
@@ -385,15 +388,17 @@ def step_coupled(
     coeffs: np.ndarray,
     rule: TensorRule,
     r: int,
-    active: tuple[slice, ...],
+    target: Lattice,
     cfg: SolverConfig,
 ) -> tuple[ValueLevel, int, int]:
-    """Compute level n on the ``active`` index window of the lattice.
+    """Compute level n on the nodes of ``target``, its computed window.
 
     ``window`` holds sealed levels n+1, n+2, … in ascending order and
-    ``coeffs`` the matching scaled window-sum weights.  Quadrature points
-    launched from active nodes must land, stencil included, on data computed
-    in the window levels; the march sizes the windows so this holds.
+    ``coeffs`` the matching scaled window-sum weights.  ``target`` shares the
+    levels' origin and spacing and lies inside level n+1's lattice.
+    Quadrature points launched from its nodes must land, stencil included, on
+    the lattice of the level they read; the march sizes the windows so this
+    holds, and the read raises :class:`~fbsde.lattice.OutOfDomain` if not.
 
     A pass freezes a, b at the current (Y, Z) iterate, starting from the
     level n+1 values, and applies the explicit Z-update and then the implicit
@@ -401,13 +406,16 @@ def step_coupled(
     problem repeats the pass until max(‖ΔY‖∞, ‖ΔZ‖∞) < ``cfg.epsilon0`` and
     raises :class:`OuterDivergence` after ``cfg.outer_max`` passes.
 
-    Returns (level, Picard iterations of the last pass, outer iterations);
-    the outer count is 0 for a decoupled problem, which runs no outer loop.
+    Returns (level on ``target``, Picard iterations of the last pass, outer
+    iterations); the outer count is 0 for a decoupled problem, which runs no
+    outer loop.
     """
     near = window[0]
-    X = _window_nodes(near.lattice, active)
-    y_seed = near.y[active].reshape(-1, near.m)
-    y_cur, z_cur = y_seed, near.z[active].reshape(-1, near.m, near.d)
+    offset = target.lo - near.lattice.lo
+    seed = tuple(slice(int(o), int(o) + n) for o, n in zip(offset, target.shape))
+    X = target.nodes().reshape(-1, target.dim)
+    y_seed = near.y[seed].reshape(-1, near.m)
+    y_cur, z_cur = y_seed, near.z[seed].reshape(-1, near.m, near.d)
     delta = math.inf
     for outer in range(1, cfg.outer_max + 1):
         y_new, z_new, iters = _advance(
@@ -415,18 +423,26 @@ def step_coupled(
             cfg.picard_max, X, y_cur, z_cur, y_seed,
         )
         if not problem.coupled:
-            return _sealed(window, t_n, active, y_new, z_new), iters, 0
+            break
         delta = max(
             float(np.max(np.abs(y_new - y_cur))),
             float(np.max(np.abs(z_new - z_cur))),
         )
         y_cur, z_cur = y_new, z_new
         if delta < cfg.epsilon0:
-            return _sealed(window, t_n, active, y_cur, z_cur), iters, outer
-    raise OuterDivergence(
-        f"coupled outer loop did not converge in {cfg.outer_max} iterations at "
-        f"t = {t_n:.6g} (last change {delta:.3e}, tol {cfg.epsilon0:.1e})"
+            break
+    else:
+        raise OuterDivergence(
+            f"coupled outer loop did not converge in {cfg.outer_max} iterations "
+            f"at t = {t_n:.6g} (last change {delta:.3e}, tol {cfg.epsilon0:.1e})"
+        )
+    level = ValueLevel(
+        lattice=target,
+        t=t_n,
+        y=y_new.reshape(target.shape + (near.m,)),
+        z=z_new.reshape(target.shape + (near.m, near.d)),
     )
+    return level, iters, outer if problem.coupled else 0
 
 
 #: The one level step under its decoupled name, which ``perfbench`` traces.
@@ -493,15 +509,6 @@ def _hop_indices(
 _W_FINAL = 2
 
 
-def _active_window(lattice: Lattice, halfwidth: np.ndarray) -> tuple[slice, ...]:
-    """Index window of nodes within ``halfwidth`` nodes of the origin node."""
-    center = -lattice.lo
-    size = np.array(lattice.shape)
-    lo = np.maximum(0, center - halfwidth)
-    hi = np.minimum(size - 1, center + halfwidth)
-    return tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-
-
 # ---------------------------------------------------------------------------
 # March
 # ---------------------------------------------------------------------------
@@ -526,12 +533,12 @@ def _march(
     sealed levels in hand the step uses the weight row of order
     k′ = min(k, ℓ) and m′ = min(m_comb, ℓ+1−k′), so a full window of k+m−1
     levels gives (k, m_comb) and a short one grows the order as history
-    accrues.  The active window starts ``halfwidth`` nodes wide and shrinks by
-    ``hop`` nodes per level.
+    accrues.  Each level is computed on its own window lattice, ``halfwidth``
+    nodes either side of the origin node less ``hop`` nodes per level marched.
 
     Yields (level, Picard iterations, outer iterations) per level.
     """
-    lattice = window[0].lattice
+    origin, h = window[0].lattice.origin, window[0].lattice.h
     width = cfg.k + cfg.m_comb - 1
     rows: dict[tuple[int, int], np.ndarray] = {}
     for t_n in times:
@@ -551,7 +558,7 @@ def _march(
             )
         level, piters, oiters = step_coupled(
             window[: len(coeffs) - 1], t_n, dt, problem, coeffs, rule, r,
-            _active_window(lattice, halfwidth), cfg,
+            Lattice(origin=origin, h=h, lo=-halfwidth, hi=halfwidth), cfg,
         )
         window.insert(0, level)
         del window[width:]
@@ -562,12 +569,13 @@ def _march(
 # Initialization
 # ---------------------------------------------------------------------------
 
-#: Iteration cap of the terminal-Z fixed point.
-_TERMINAL_Z_MAX = 50
+def _terminal_z(
+    problem: FbsdeProblem, X: np.ndarray, y_term: np.ndarray, max_iter: int
+) -> np.ndarray:
+    """Terminal Z(T, x) = ∇g(x)·b(T, x, g(x), Z) via FD gradient + fixed point.
 
-
-def _terminal_z(problem: FbsdeProblem, X: np.ndarray, y_term: np.ndarray) -> np.ndarray:
-    """Terminal Z(T, x) = ∇g(x)·b(T, x, g(x), Z) via FD gradient + fixed point."""
+    Raises :class:`OuterDivergence` after ``max_iter`` passes.
+    """
     P, n = X.shape
     step = 1e-6
     grad = np.empty((P, problem.m, n))
@@ -576,7 +584,7 @@ def _terminal_z(problem: FbsdeProblem, X: np.ndarray, y_term: np.ndarray) -> np.
         e[i] = step
         grad[:, :, i] = (problem.g(X + e) - problem.g(X - e)) / (2.0 * step)
     z = np.zeros((P, problem.m, problem.d))
-    for _ in range(_TERMINAL_Z_MAX):
+    for _ in range(max_iter):
         b_val = np.asarray(problem.b(problem.T, X, y_term, z), float)
         z_new = np.einsum("pmn,pnd->pmd", grad, b_val)
         change = np.abs(z_new - z)
@@ -585,7 +593,7 @@ def _terminal_z(problem: FbsdeProblem, X: np.ndarray, y_term: np.ndarray) -> np.
         z = z_new
     worst = int(np.argmax(np.max(change.reshape(P, -1), axis=-1)))
     raise OuterDivergence(
-        f"terminal Z fixed point did not converge in {_TERMINAL_Z_MAX} "
+        f"terminal Z fixed point did not converge in {max_iter} "
         f"iterations at t = {problem.T:.6g}, node x = {X[worst]} "
         f"(last change {float(np.max(change)):.3e}, tol 1.0e-13)"
     )
@@ -598,9 +606,10 @@ def initialize_levels(
     rule: TensorRule,
     r: int,
     fine_hop: np.ndarray,
-) -> dict[int, ValueLevel]:
+) -> list[ValueLevel]:
     """Fill the top k+m−1 levels (indices n_steps−k−m+2 .. n_steps).
 
+    Returns them nearest level first, the window the main march starts from.
     ``exact`` mode samples the problem's closed-form (Y, Z) on the full
     lattice (raising :class:`MissingAnalytic` when there is none).
 
@@ -609,14 +618,14 @@ def initialize_levels(
     same march loop as the main solve, on a Δt/S subgrid with
     S = ``init_substeps``.  The march starts from the terminal level alone,
     so the scheme order grows as history becomes available, and every S-th
-    fine level is kept.  The active window starts at the lattice hull and
-    shrinks by ``fine_hop`` nodes per fine substep, so the ramp reads only
-    computed data, like the main march.
+    fine level is kept.  The terminal level lives on the lattice hull; each
+    fine level lives on a window ``fine_hop`` nodes per side narrower than
+    the one before, so the ramp reads only computed data, like the main march.
     """
     width = cfg.k + cfg.m_comb - 1
     dt = problem.T / cfg.n_steps
     shape = lattice.shape
-    levels: dict[int, ValueLevel] = {}
+    levels: list[ValueLevel] = []
 
     if cfg.init_mode == "exact":
         if not problem.has_analytic:
@@ -629,12 +638,12 @@ def initialize_levels(
             t = i * dt
             y = np.asarray(problem.analytic_y(t, X), float)
             z = np.asarray(problem.analytic_z(t, X), float)
-            levels[i] = ValueLevel(
+            levels.append(ValueLevel(
                 lattice=lattice,
                 t=t,
                 y=y.reshape(shape + (problem.m,)),
                 z=z.reshape(shape + (problem.m, problem.d)),
-            )
+            ))
         return levels
 
     # Self-starting ramp.
@@ -642,14 +651,14 @@ def initialize_levels(
     dt_fine = dt / S
     X = lattice.nodes().reshape(-1, lattice.dim)
     y_term = np.asarray(problem.g(X), float)
-    z_term = _terminal_z(problem, X, y_term)
+    z_term = _terminal_z(problem, X, y_term, cfg.outer_max)
     terminal = ValueLevel(
         lattice=lattice,
         t=problem.T,
         y=y_term.reshape(shape + (problem.m,)),
         z=z_term.reshape(shape + (problem.m, problem.d)),
     )
-    levels[cfg.n_steps] = terminal
+    levels.append(terminal)
     times = (problem.T - i * dt_fine for i in range(1, (width - 1) * S + 1))
     march = _march(
         problem, cfg, rule, r, [terminal], times, dt_fine,
@@ -657,7 +666,7 @@ def initialize_levels(
     )
     for i, (level, _, _) in enumerate(march, 1):
         if i % S == 0:
-            levels[cfg.n_steps - i // S] = level
+            levels.insert(0, level)
     return levels
 
 
@@ -670,13 +679,14 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     """March the backward scheme from the terminal window down to t = 0.
 
     The lattice is sized from the query cone: level n is computed on a window
-    that exceeds the final (t = 0) window by n hops, each hop covering the
-    per-level quadrature reach plus the interpolation stencil, so no read ever
-    leaves computed data.  :func:`initialize_levels` fills the top k+m−1
-    levels and the march loop it shares with the ramp computes the rest with
-    the full (k, m_comb) window.  Returns a :class:`SolveResult` with the
-    (m,)-vector ``y0`` and the (m, d)-matrix ``z0`` read directly at the
-    lattice node x0 (x0 is a node by construction), plus diagnostics: the
+    lattice that exceeds the final (t = 0) window by n hops, each hop covering
+    the per-level quadrature reach plus the interpolation stencil, so no read
+    leaves computed data; a read that would raises
+    :class:`~fbsde.lattice.OutOfDomain`.  :func:`initialize_levels` fills the
+    top k+m−1 levels and the march loop it shares with the ramp computes the
+    rest with the full (k, m_comb) window.  Returns a :class:`SolveResult`
+    with the (m,)-vector ``y0`` and the (m, d)-matrix ``z0`` read directly at
+    the origin node x0 of the last level's window, plus diagnostics: the
     resolved discretization, cone geometry, per-level Picard/outer iteration
     counts, and wall time.
     """
@@ -708,13 +718,12 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
         if np.all(new_radius <= radius):
             break
         radius = new_radius
-    lattice = build_lattice(problem.x0, h, radius, r=r, max_nodes=cfg.max_nodes)
+    lattice = build_lattice(problem.x0, h, radius, r=r)
 
-    top = initialize_levels(problem, lattice, cfg, rule, r, fine_hop)
     first = cfg.n_steps - width
     march = _march(
         problem, cfg, rule, r,
-        [top.pop(i) for i in range(first + 1, cfg.n_steps + 1)],
+        initialize_levels(problem, lattice, cfg, rule, r, fine_hop),
         (n * dt for n in range(first, -1, -1)), dt,
         _W_FINAL + (first + 1) * hop, hop,
     )
@@ -725,7 +734,7 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
         if oiters:
             outer_per_level.append(oiters)
 
-    origin_index = tuple(-lo for lo in lattice.lo)
+    origin_index = tuple(-level.lattice.lo)
     y0 = np.array(level.y[origin_index], copy=True)
     z0 = np.array(level.z[origin_index], copy=True)
     diagnostics = {

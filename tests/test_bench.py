@@ -134,16 +134,6 @@ def test_budget_gate_skips_cells():
     report_from_json(report_to_json(rep))  # still serializable
 
 
-def test_parallel_execution_matches_sequential():
-    spec = ExperimentSpec(problem="example1", ks=(3,), n_steps=(8, 12))
-    seq = run_experiment(spec)
-    par = run_experiment(spec, parallel_cells=2)
-    assert [c.status for c in par.cells] == [c.status for c in seq.cells]
-    assert [c.y0 for c in par.cells] == [c.y0 for c in seq.cells]
-    assert [c.z0 for c in par.cells] == [c.z0 for c in seq.cells]
-    assert [c.y_errors for c in par.cells] == [c.y_errors for c in seq.cells]
-
-
 def test_unstable_scheme_warns_and_cell_fails():
     spec = ExperimentSpec(problem="example1", ks=(10,), n_steps=(16,))
     with pytest.warns(UserWarning, match="root condition"):

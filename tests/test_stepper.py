@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import fbsde.stepper as stepper
 from fbsde.hermite import gauss_hermite_tensor
-from fbsde.lattice import ValueLevel, build_lattice
+from fbsde.lattice import OutOfDomain, ValueLevel, build_lattice
 from fbsde.problems import FbsdeProblem, get_problem
 from fbsde.stepper import (
     MissingAnalytic,
@@ -303,6 +304,53 @@ def test_terminal_z_divergence_is_reported():
     assert "terminal Z" in message
     assert "node x =" in message
     assert "last change" in message
+
+
+def test_undersized_query_cone_is_reported():
+    """A drift spike the coefficient sampling misses must not be read past.
+
+    a = 30·sin²(8πt) vanishes at every sampled time t = i/8, so the cone is
+    sized for a = 0 and a quadrature point drifts out of the computed window.
+    """
+    problem = FbsdeProblem(
+        name="hidden-drift", n=1, m=1, d=1, T=1.0, x0=np.array([0.0]),
+        a=lambda t, x, y, z: np.full_like(x, 30.0 * np.sin(8.0 * np.pi * t) ** 2),
+        b=lambda t, x, y, z: np.full(x.shape + (1,), 0.3),
+        f=lambda t, x, y, z: np.zeros_like(y),
+        g=np.sin,
+        coupled=False,
+        analytic_y=lambda t, x: np.sin(x),
+        analytic_z=lambda t, x: 0.3 * np.cos(x)[..., None],
+    )
+    with pytest.raises(OutOfDomain) as err:
+        solve(problem, SolverConfig(k=3, n_steps=12))
+    message = str(err.value)
+    assert "t = 0.416667" in message
+    assert "span j=1" in message
+    assert "axis 0" in message
+    assert "by 2 node(s)" in message
+
+
+def test_marched_levels_live_on_their_windows(monkeypatch):
+    """Each marched level holds finite values on exactly its window's nodes."""
+    sealed = []
+    step = stepper.step_coupled
+
+    def recording_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        sealed.append(out[0])
+        return out
+
+    monkeypatch.setattr(stepper, "step_coupled", recording_step)
+    _, _, diag = solve(get_problem("example1"), SolverConfig(k=3, n_steps=8))
+    first = diag["levels_marched"] - 1
+    hop = np.array(diag["cone_hop_nodes"])
+    assert len(sealed) == first + 1
+    for i, level in enumerate(sealed):
+        halfwidth = diag["active_halfwidth_final"] + (first - i) * hop
+        assert level.lattice.shape == tuple(2 * halfwidth + 1)
+        assert np.array_equal(level.lattice.lo, -halfwidth)
+        assert np.all(np.isfinite(level.y)) and np.all(np.isfinite(level.z))
 
 
 def test_solver_is_deterministic():
