@@ -98,7 +98,7 @@ def build_lattice(
     origin = np.atleast_1d(np.asarray(center, float))
     if h <= 0:
         raise ValueError(f"spacing h must be positive, got {h}")
-    rad = np.broadcast_to(np.asarray(radius, float), origin.shape)
+    rad = np.full(origin.shape, radius, dtype=float)
     if np.any(rad < 0):
         raise ValueError("radius must be non-negative")
     half = np.array([int(math.ceil(v / h - 1e-12)) for v in rad])

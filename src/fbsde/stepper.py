@@ -6,7 +6,8 @@ computed from a window of k+m−1 already-sealed future levels:
 
 * conditional expectations E[Y^{n+j}] and E[Y^{n+j} ΔWᵀ] are evaluated with
   Gauss–Hermite quadrature along one-shot Euler predictors of the forward
-  process (coefficients frozen at t_n),
+  process; the coefficients a, b are frozen at (t_n, x, Y, Z) and evaluated
+  once per pass for all k+m−1 spans,
 * the martingale component Z^n comes from an explicit weighted combination of
   the E[Y ΔWᵀ] terms,
 * Y^n solves the implicit multi-step relation by Picard iteration.
@@ -82,6 +83,12 @@ class OuterDivergence(RuntimeError):
     """A coupled fixed point (a level's outer loop or the terminal Z) did not converge."""
 
 
+#: Tolerance (absolute, plus relative in the same factor) and iteration cap
+#: of the Picard iteration that solves each pass's implicit Y-update.
+_PICARD_TOL = 1e-14
+_PICARD_MAX = 100
+
+
 @dataclass
 class SolverConfig:
     """Knobs for one solve.
@@ -89,20 +96,22 @@ class SolverConfig:
     Derived defaults (resolved against the problem at solve time):
 
     * ``r``          — interpolation degree, max(10, k + 1)
-    * ``h``          — lattice spacing, Δt^((k+1)/(r+1)), balancing the
-                       spatial error h^(r+1) against the time error Δt^(k+1)
     * ``gh_points``  — quadrature nodes per Brownian axis: 10 when the state
                        is scalar, 8 otherwise
+
+    The lattice spacing is always derived, h = Δt^((k+1)/(r+1)), balancing
+    the spatial error h^(r+1) against the time error Δt^(k+1).  The implicit
+    Y-update runs to a fixed tolerance and iteration cap (``_PICARD_TOL``,
+    ``_PICARD_MAX``).  ``epsilon0`` is the coupled outer loop's absolute
+    tolerance and ``outer_max`` its pass limit, shared with the ramp's
+    terminal-Z fixed point.
     """
 
     k: int
     n_steps: int
     m_comb: int = 4
     r: int | None = None
-    h: float | None = None
     gh_points: int | None = None
-    picard_tol: float = 1e-14
-    picard_max: int = 100
     epsilon0: float = 1e-12
     outer_max: int = 200
     init_mode: str = "exact"
@@ -124,12 +133,10 @@ class SolverConfig:
             )
         if self.init_substeps < 1:
             raise ValueError(f"init_substeps must be >= 1, got {self.init_substeps}")
-        for name in ("picard_max", "outer_max"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("picard_tol", "epsilon0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.outer_max < 1:
+            raise ValueError(f"outer_max must be >= 1, got {self.outer_max}")
+        if not self.epsilon0 > 0:
+            raise ValueError(f"epsilon0 must be positive, got {self.epsilon0}")
 
 
 @dataclass
@@ -151,42 +158,36 @@ class SolveResult:
 
 def euler_points(
     x: np.ndarray,
-    t_n: float,
+    a_val: np.ndarray,
+    b_val: np.ndarray,
+    q: np.ndarray,
     j: int,
     dt: float,
-    problem: FbsdeProblem,
-    y: np.ndarray | None,
-    z: np.ndarray | None,
-    rule: TensorRule,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature points of the one-shot Euler predictor over a span of j steps.
 
-    With coefficients frozen at (t_n, x, y, z), the predictor at t_n + jΔt is
-    x + a·jΔt + b·ΔW where ΔW ~ N(0, jΔt·I_d).  Substituting ΔW = √(2jΔt)·q
-    at the Gauss–Hermite abscissae q gives the integration nodes; an
-    expectation of any function of the predictor is then
-    π^{−d/2}·Σ_q ω_q·(value at node q).  Decoupled problems ignore (y, z).
+    With coefficients frozen at a_val = a(t_n, x, y, z) and
+    b_val = b(t_n, x, y, z), the predictor at t_n + jΔt is x + a·jΔt + b·ΔW
+    where ΔW ~ N(0, jΔt·I_d).  Substituting ΔW = √(2jΔt)·q at the
+    Gauss–Hermite abscissae q gives the integration nodes; an expectation of
+    any function of the predictor is then π^{−d/2}·Σ_q ω_q·(value at node q).
 
     Parameters
     ----------
-    x : (..., n) base points; y : (..., m); z : (..., m, d).
+    x : (P, n) base points; a_val : (P, n); b_val : (P, n, d);
+    q : (Q, d) Gauss–Hermite abscissae.
 
     Returns
     -------
-    nodes : (..., Q, n) integration points in state space
-    weights : (Q,) Gauss–Hermite weights (multiply results by π^{−d/2})
-    dw : (..., Q, d) the Brownian increments √(2jΔt)·q at each node
+    nodes : (P, Q, n) integration points in state space
+    dw : (Q, d) the Brownian increments √(2jΔt)·q, shared by every base point
     """
     if j < 1:
         raise ValueError(f"span j must be >= 1, got {j}")
-    a_val = np.asarray(problem.a(t_n, x, y, z), float)
-    b_val = np.asarray(problem.b(t_n, x, y, z), float)
-    q, w = rule.points()
     dw = math.sqrt(2.0 * j * dt) * q
     drifted = x + a_val * (j * dt)
     nodes = drifted[..., None, :] + np.einsum("...nd,qd->...qn", b_val, dw)
-    dw_full = np.broadcast_to(dw, x.shape[:-1] + dw.shape)
-    return nodes, w, dw_full
+    return nodes, dw
 
 
 def _check_cone(
@@ -214,7 +215,7 @@ def _check_cone(
         )
 
 
-def _level_expectations(
+def conditional_expectations(
     window: Sequence[ValueLevel],
     x: np.ndarray,
     t_n: float,
@@ -228,68 +229,40 @@ def _level_expectations(
     """(E[Y^{n+j}], E[Y^{n+j} ΔWᵀ]) for j = 1..len(window), batched over x.
 
     ``window[j-1]`` holds sealed level n+j, interpolated on its own lattice.
-    The interpolated level values at the quadrature nodes are computed once
-    per (x, j, q) and reused by both moments.  Quadrature sums are compensated
-    and run in fixed (j, q) order.  Returns pairs with shapes (P, m) and
-    (P, m, d).
+    The forward coefficients are frozen at (t_n, x, y, z) and evaluated once
+    for all spans; decoupled problems accept y = z = None.  The interpolated
+    level values at the quadrature nodes are computed once per (x, j, q) and
+    reused by both moments.  Quadrature sums are compensated and run in fixed
+    (j, q) order.  A quadrature point whose degree-r stencil leaves the
+    lattice of the level it reads raises :class:`~fbsde.lattice.OutOfDomain`
+    naming t_n, the span, the axis and the overhang in nodes.
+
+    Parameters
+    ----------
+    x : (P, n) base points; y : (P, m) or None; z : (P, m, d) or None.
+
+    Returns
+    -------
+    One (E[Y^{n+j}], E[Y^{n+j} ΔWᵀ]) pair per span, shapes (P, m), (P, m, d).
     """
     P = x.shape[0]
     m = window[0].m
     norm = math.pi ** (-rule.dim / 2.0)
+    a_val = np.asarray(problem.a(t_n, x, y, z), float)
+    b_val = np.asarray(problem.b(t_n, x, y, z), float)
+    q, w = rule.points()
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    for j in range(1, len(window) + 1):
-        level = window[j - 1]
-        nodes, w, dw = euler_points(x, t_n, j, dt, problem, y, z, rule)
+    for j, level in enumerate(window, 1):
+        nodes, dw = euler_points(x, a_val, b_val, q, j, dt)
         flat = nodes.reshape(-1, level.lattice.dim)
         _check_cone(level, flat, r, t_n, j)
         vals = interpolate_values(level.lattice, level.y, flat, r)
         weighted = vals.reshape(P, -1, m) * w[None, :, None]
         ey = norm * kahan_sum(np.moveaxis(weighted, 1, 0))
-        prod = weighted[..., None] * dw[:, :, None, :]
+        prod = weighted[..., None] * dw[None, :, None, :]
         eyw = norm * kahan_sum(np.moveaxis(prod, 1, 0))
         out.append((ey, eyw))
     return out
-
-
-def conditional_expectations(
-    window: Sequence[ValueLevel],
-    x: np.ndarray,
-    t_n: float,
-    j: int,
-    problem: FbsdeProblem,
-    rule: TensorRule,
-    r: int,
-    y: np.ndarray | None = None,
-    z: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional expectations (E[Y^{n+j}], E[Y^{n+j} ΔWᵀ]) at one point.
-
-    ``window`` is the ascending list of sealed levels n+1, n+2, …; the step
-    size is recovered from window[0].t − t_n.  When (y, z) are omitted they
-    are read from level n+1 at x, which is the coefficient freeze used to
-    start a coupled step.  A quadrature point whose degree-r stencil leaves
-    the lattice of the level it reads raises
-    :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the axis and
-    the overhang in nodes.
-
-    Returns (Ey, EyW) with shapes (m,) and (m, d).
-    """
-    if not 1 <= j <= len(window):
-        raise ValueError(f"span j must be in 1..{len(window)}, got {j}")
-    x = np.atleast_2d(np.asarray(x, float))
-    dt = window[0].t - t_n
-    near = window[0]
-    if y is None:
-        y = interpolate_values(near.lattice, near.y, x, r)
-    else:
-        y = np.atleast_2d(np.asarray(y, float))
-    if z is None:
-        z = interpolate_values(near.lattice, near.z, x, r)
-    else:
-        z = np.asarray(z, float).reshape(x.shape[0], near.m, near.d)
-    pairs = _level_expectations(window[:j], x, t_n, dt, problem, y, z, rule, r)
-    ey, eyw = pairs[j - 1]
-    return ey[0], eyw[0]
 
 
 def z_update(
@@ -359,15 +332,13 @@ def _advance(
     coeffs: np.ndarray,
     rule: TensorRule,
     r: int,
-    picard_tol: float,
-    picard_max: int,
     X: np.ndarray,
     y_freeze: np.ndarray,
     z_freeze: np.ndarray,
     y_seed: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """One frozen-coefficient pass over the given nodes: Z first, implicit Y."""
-    pairs = _level_expectations(
+    pairs = conditional_expectations(
         window, X, t_n, dt, problem, y_freeze, z_freeze, rule, r
     )
     z_new = z_update([p[1] for p in pairs], coeffs, dt)
@@ -375,7 +346,8 @@ def _advance(
         np.stack([coeffs[j] * pairs[j - 1][0] for j in range(1, len(pairs) + 1)])
     )
     y_new, iters = y_update(
-        rhs, coeffs[0], dt, t_n, X, z_new, problem.f, y_seed, picard_tol, picard_max
+        rhs, coeffs[0], dt, t_n, X, z_new, problem.f, y_seed,
+        _PICARD_TOL, _PICARD_MAX,
     )
     return y_new, z_new, iters
 
@@ -404,7 +376,8 @@ def step_coupled(
     level n+1 values, and applies the explicit Z-update and then the implicit
     Y-update.  When a, b ignore (Y, Z) the first pass is the level.  A coupled
     problem repeats the pass until max(‖ΔY‖∞, ‖ΔZ‖∞) < ``cfg.epsilon0`` and
-    raises :class:`OuterDivergence` after ``cfg.outer_max`` passes.
+    raises :class:`OuterDivergence`, naming the node that changed most in
+    the last pass, after ``cfg.outer_max`` passes.
 
     Returns (level on ``target``, Picard iterations of the last pass, outer
     iterations); the outer count is 0 for a decoupled problem, which runs no
@@ -416,25 +389,26 @@ def step_coupled(
     X = target.nodes().reshape(-1, target.dim)
     y_seed = near.y[seed].reshape(-1, near.m)
     y_cur, z_cur = y_seed, near.z[seed].reshape(-1, near.m, near.d)
-    delta = math.inf
     for outer in range(1, cfg.outer_max + 1):
         y_new, z_new, iters = _advance(
-            window, t_n, dt, problem, coeffs, rule, r, cfg.picard_tol,
-            cfg.picard_max, X, y_cur, z_cur, y_seed,
+            window, t_n, dt, problem, coeffs, rule, r, X, y_cur, z_cur, y_seed,
         )
         if not problem.coupled:
             break
-        delta = max(
-            float(np.max(np.abs(y_new - y_cur))),
-            float(np.max(np.abs(z_new - z_cur))),
+        change = np.maximum(
+            np.max(np.abs(y_new - y_cur), axis=-1),
+            np.max(np.abs(z_new - z_cur), axis=(-2, -1)),
         )
+        delta = float(np.max(change))
         y_cur, z_cur = y_new, z_new
         if delta < cfg.epsilon0:
             break
     else:
+        worst = int(np.argmax(change))
         raise OuterDivergence(
             f"coupled outer loop did not converge in {cfg.outer_max} iterations "
-            f"at t = {t_n:.6g} (last change {delta:.3e}, tol {cfg.epsilon0:.1e})"
+            f"at t = {t_n:.6g}, node x = {X[worst]} "
+            f"(last change {delta:.3e}, tol {cfg.epsilon0:.1e})"
         )
     level = ValueLevel(
         lattice=target,
@@ -695,7 +669,7 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     width = k + m_comb - 1
     dt = problem.T / cfg.n_steps
     r = cfg.r if cfg.r is not None else max(10, k + 1)
-    h = cfg.h if cfg.h is not None else dt ** ((k + 1) / (r + 1))
+    h = dt ** ((k + 1) / (r + 1))
     npts = cfg.gh_points if cfg.gh_points is not None else (10 if problem.n == 1 else 8)
     rule = gauss_hermite_tensor(npts, problem.d)
     q_max = float(np.max(np.abs(rule.points()[0])))

@@ -81,9 +81,7 @@ def _window(lattice, times, yfun):
         dict(k=3, n_steps=16, m_comb=0),
         dict(k=3, n_steps=16, init_mode="bogus"),
         dict(k=3, n_steps=16, init_substeps=0),
-        dict(k=3, n_steps=16, picard_max=0),
         dict(k=3, n_steps=16, outer_max=0),
-        dict(k=3, n_steps=16, picard_tol=0.0),
         dict(k=3, n_steps=16, epsilon0=-1e-12),
     ],
 )
@@ -113,23 +111,33 @@ def test_euler_points_places_predictor_nodes():
     rule = gauss_hermite_tensor(4, 1)
     x = np.array([[0.2], [-0.4]])
     j, dt = 2, 0.05
-    nodes, w, dw = euler_points(x, 0.3, j, dt, problem, None, None, rule)
+    a_val = problem.a(0.3, x)
+    b_val = problem.b(0.3, x)
+    q, _ = rule.points()
+    nodes, dw = euler_points(x, a_val, b_val, q, j, dt)
     assert nodes.shape == (2, 4, 1)
-    assert dw.shape == (2, 4, 1)
-    q, w_ref = rule.points()
-    assert np.array_equal(w, w_ref)
+    assert dw.shape == (4, 1)
     scale = math.sqrt(2.0 * j * dt)
+    assert dw == pytest.approx(scale * q, abs=0)
     for i in range(2):
-        assert dw[i] == pytest.approx(scale * q, abs=0)
         expected = x[i, 0] + 0.7 * j * dt + 0.5 * scale * q[:, 0]
         assert nodes[i, :, 0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_euler_points_rejects_nonpositive_span():
-    problem = _constant_coefficient_problem()
-    rule = gauss_hermite_tensor(2, 1)
+    x = np.array([[0.0]])
+    q, _ = gauss_hermite_tensor(2, 1).points()
     with pytest.raises(ValueError):
-        euler_points(np.array([[0.0]]), 0.0, 0, 0.1, problem, None, None, rule)
+        euler_points(x, np.zeros((1, 1)), np.ones((1, 1, 1)), q, 0, 0.1)
+
+
+def _expectations(window, x, t_n, j, problem, rule, r):
+    """Moments of span j at one point, from the batched all-span evaluation."""
+    dt = window[0].t - t_n
+    ey, eyw = conditional_expectations(
+        window[:j], np.array([[x]]), t_n, dt, problem, None, None, rule, r
+    )[-1]
+    return ey[0], eyw[0]
 
 
 def test_conditional_expectations_constant_field():
@@ -138,7 +146,7 @@ def test_conditional_expectations_constant_field():
     window = _window(lattice, [0.02, 0.04], lambda t, X: np.full(lattice.shape + (1,), 4.2))
     rule = gauss_hermite_tensor(8, 1)
     for j in (1, 2):
-        ey, eyw = conditional_expectations(window, [0.0], 0.0, j, problem, rule, r=3)
+        ey, eyw = _expectations(window, 0.0, 0.0, j, problem, rule, r=3)
         assert ey.shape == (1,)
         assert eyw.shape == (1, 1)
         assert ey[0] == pytest.approx(4.2, abs=1e-13)
@@ -152,19 +160,9 @@ def test_conditional_expectations_identity_field():
     window = _window(lattice, [0.02, 0.04], lambda t, X: X.copy())
     rule = gauss_hermite_tensor(8, 1)
     for j in (1, 2):
-        ey, eyw = conditional_expectations(window, [0.3], 0.0, j, problem, rule, r=3)
+        ey, eyw = _expectations(window, 0.3, 0.0, j, problem, rule, r=3)
         assert ey[0] == pytest.approx(0.3, abs=1e-12)
         assert eyw[0, 0] == pytest.approx(j * 0.02, rel=1e-12)
-
-
-def test_conditional_expectations_validates_span():
-    problem = _constant_coefficient_problem()
-    lattice = build_lattice(0.0, 0.1, 1.0, r=2)
-    window = _window(lattice, [0.02, 0.04], lambda t, X: X.copy())
-    rule = gauss_hermite_tensor(4, 1)
-    for j in (0, 3):
-        with pytest.raises(ValueError):
-            conditional_expectations(window, [0.0], 0.0, j, problem, rule, r=2)
 
 
 def test_conditional_expectations_match_monte_carlo():
@@ -184,7 +182,7 @@ def test_conditional_expectations_match_monte_carlo():
         for s in (1, 2)
     ]
     rule = gauss_hermite_tensor(12, 1)
-    ey, eyw = conditional_expectations(window, [1.0], t_n, j, problem, rule, r=7)
+    ey, eyw = _expectations(window, 1.0, t_n, j, problem, rule, r=7)
 
     mean_y, se_y = mc_euler_expectation(
         problem, [1.0], t_n, j, dt,
@@ -306,6 +304,17 @@ def test_terminal_z_divergence_is_reported():
     assert "last change" in message
 
 
+def test_outer_divergence_names_worst_node():
+    """The coupled outer loop reports where it stopped converging."""
+    with pytest.raises(OuterDivergence) as err:
+        solve(get_problem("example2"), SolverConfig(k=3, n_steps=6, outer_max=2))
+    message = str(err.value)
+    assert "coupled outer loop" in message
+    assert "in 2 iterations" in message
+    assert "node x =" in message
+    assert "last change" in message
+
+
 def test_undersized_query_cone_is_reported():
     """A drift spike the coefficient sampling misses must not be read past.
 
@@ -351,6 +360,37 @@ def test_marched_levels_live_on_their_windows(monkeypatch):
         assert level.lattice.shape == tuple(2 * halfwidth + 1)
         assert np.array_equal(level.lattice.lo, -halfwidth)
         assert np.all(np.isfinite(level.y)) and np.all(np.isfinite(level.z))
+
+
+@pytest.mark.parametrize(
+    "name, n_steps", [("example1", 8), ("example2", 6)], ids=["decoupled", "coupled"]
+)
+def test_predictor_coefficients_are_evaluated_once_per_pass(monkeypatch, name, n_steps):
+    """A pass freezes a at (t_n, x, Y, Z) once and reuses it for every span."""
+    problem = get_problem(name)
+    calls = []
+
+    def counting_a(*args):
+        calls.append(1)
+        return problem.a(*args)
+
+    per_step = []
+    step = stepper.step_coupled
+
+    def recording_step(*args, **kwargs):
+        before = len(calls)
+        out = step(*args, **kwargs)
+        per_step.append((len(calls) - before, out[2]))
+        return out
+
+    monkeypatch.setattr(stepper, "step_coupled", recording_step)
+    counted = dataclasses.replace(problem, a=counting_a)
+    _, _, diag = solve(counted, SolverConfig(k=3, n_steps=n_steps))
+    assert len(per_step) == diag["levels_marched"]
+    for a_calls, outer in per_step:
+        assert a_calls == (outer if problem.coupled else 1)
+    if problem.coupled:
+        assert [outer for _, outer in per_step] == diag["outer_iterations"]
 
 
 def test_solver_is_deterministic():
