@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
-from statistics import median
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,31 +42,42 @@ __all__ = [
 class ExperimentSpec:
     """A (k, n_steps) sweep over one named problem.
 
-    ``repetitions`` re-runs each cell to stabilize the reported wall time
-    (the median is kept); the numerical output is deterministic, so errors
-    are unaffected.  ``format`` is the preferred report rendering and is
-    carried along for config files; it does not influence the run itself.
+    ``m_comb``, ``r``, ``gh_points`` and ``init_mode`` go to every cell's
+    :class:`~fbsde.stepper.SolverConfig` unchanged and default to its
+    values; ``None`` leaves ``r`` and ``gh_points`` for the solver to derive.
     """
 
     problem: str
     ks: tuple = (3,)
     n_steps: tuple = (16, 20, 24, 28, 32)
-    m_comb: int = 4
+    m_comb: int = SolverConfig.m_comb
     r: int | None = None
     gh_points: int | None = None
-    init_mode: str = "exact"
-    repetitions: int = 1
-    format: str = "json"
+    init_mode: str = SolverConfig.init_mode
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
-        object.__setattr__(self, "n_steps", tuple(int(n) for n in self.n_steps))
-        if not self.ks or not self.n_steps:
-            raise ValueError("ks and n_steps must be non-empty")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        floor = max(self.ks) + self.m_comb - 1
-        bad = [(k, n) for k in self.ks for n in self.n_steps if n < k + self.m_comb - 1]
+        if not isinstance(self.problem, str):
+            raise TypeError(f"problem must be a registry key, got {self.problem!r}")
+        try:
+            ks, ns = (tuple(map(operator.index, v)) for v in (self.ks, self.n_steps))
+            m_comb = operator.index(self.m_comb)
+        except TypeError:
+            raise TypeError(
+                "ks and n_steps must be sequences of integers and m_comb an "
+                f"integer, got ks={self.ks!r}, n_steps={self.n_steps!r}, "
+                f"m_comb={self.m_comb!r}"
+            ) from None
+        for name, values in (("ks", ks), ("n_steps", ns)):
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated}; list each value once")
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "n_steps", ns)
+        object.__setattr__(self, "m_comb", m_comb)
+        floor = max(ks) + m_comb - 1
+        bad = [(k, n) for k in ks for n in ns if n < k + m_comb - 1]
         if bad:
             raise ValueError(
                 f"every n_steps must be at least k + m_comb - 1; offending "
@@ -77,14 +88,6 @@ class ExperimentSpec:
     def cells(self) -> list[tuple[int, int]]:
         """All (k, n_steps) pairs in deterministic ascending (k, n) order."""
         return sorted((k, n) for k in self.ks for n in self.n_steps)
-
-    def solver_overrides(self) -> dict:
-        out: dict = {"m_comb": self.m_comb, "init_mode": self.init_mode}
-        if self.r is not None:
-            out["r"] = self.r
-        if self.gh_points is not None:
-            out["gh_points"] = self.gh_points
-        return out
 
 
 @dataclass
@@ -108,10 +111,9 @@ class Report:
     """Experiment results: the spec echoed, one cell per (k, n_steps), rates.
 
     ``rates`` maps str(k) to {"y": [...], "z": [...]} least-squares rates per
-    error component; ``rates_endpoint`` holds the two-point slope between the
-    smallest and largest n_steps for comparison.  A rate is ``None`` whenever
-    fewer than two cells are usable or any error is non-positive/non-finite —
-    reports never contain NaN or infinities.
+    error component.  A rate is ``None`` whenever fewer than two cells are
+    usable or any error is non-positive/non-finite — reports never contain
+    NaN or infinities.
     """
 
     problem: str
@@ -120,7 +122,6 @@ class Report:
     config: dict
     cells: list
     rates: dict
-    rates_endpoint: dict
     y_reference: list | None = None
     z_reference: list | None = None
 
@@ -129,13 +130,13 @@ def fit_convergence_rate(n_steps, errors) -> float:
     """Least-squares slope of ln(error) against ln(1/n_steps).
 
     Example: errors 1e-3 at 16 steps and 1.25e-4 at 32 steps give exactly
-    3.0; equal errors give 0.0.  With fewer than two pairs, or any
-    non-positive error, the fit is undefined and NaN is returned (report
+    3.0; equal errors give 0.0.  With fewer than two distinct n_steps, or
+    any non-positive error, the fit is undefined and NaN is returned (report
     assembly converts undefined rates to ``None`` instead).
     """
     n = np.asarray(list(n_steps), dtype=float)
     e = np.asarray(list(errors), dtype=float)
-    if n.size < 2 or np.any(~np.isfinite(e)) or np.any(e <= 0.0):
+    if np.unique(n).size < 2 or np.any(~np.isfinite(e)) or np.any(e <= 0.0):
         return float("nan")
     slope = np.polyfit(np.log(1.0 / n), np.log(e), 1)[0]
     return float(slope)
@@ -154,17 +155,13 @@ def run_cell(
     k: int,
     n_steps: int,
     overrides: dict,
-    repetitions: int = 1,
 ) -> CellResult:
     """Solve one (k, n_steps) cell, converting solver failures into status."""
-    times = []
-    result = None
     try:
         cfg = SolverConfig(k=k, n_steps=n_steps, **overrides)
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            result = solve(problem, cfg)
-            times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        result = solve(problem, cfg)
+        wall_time = time.perf_counter() - t0
     except Exception as exc:  # recorded, not raised: one bad cell ≠ dead sweep
         return CellResult(
             k=k, n_steps=n_steps, status="failed",
@@ -188,7 +185,7 @@ def run_cell(
         z0=result.z0.ravel().tolist(),
         y_errors=y_err,
         z_errors=z_err,
-        wall_time_s=median(times),
+        wall_time_s=wall_time,
         diagnostics=result.diagnostics,
     )
 
@@ -197,14 +194,13 @@ def _defined(rate: float) -> float | None:
     return None if not math.isfinite(rate) else rate
 
 
-def _fit_rates(ks, cells) -> tuple[dict, dict]:
-    """Per-k least-squares and endpoint rates per error component.
+def _fit_rates(ks, cells) -> dict:
+    """Per-k least-squares rates per error component.
 
     Undefined fits (fewer than two usable cells, zero/non-finite errors)
     become ``None`` so serialized reports stay NaN-free.
     """
     rates: dict = {}
-    endpoint: dict = {}
     for k in ks:
         ok = [c for c in cells if c.k == k and c.status == "ok" and c.y_errors]
         if len(ok) < 2:
@@ -223,26 +219,7 @@ def _fit_rates(ks, cells) -> tuple[dict, dict]:
                 for i in range(nz)
             ],
         }
-        lo, hi = ok[0], ok[-1]
-        endpoint[str(k)] = {
-            "y": [
-                _defined(
-                    fit_convergence_rate(
-                        [lo.n_steps, hi.n_steps], [lo.y_errors[i], hi.y_errors[i]]
-                    )
-                )
-                for i in range(ny)
-            ],
-            "z": [
-                _defined(
-                    fit_convergence_rate(
-                        [lo.n_steps, hi.n_steps], [lo.z_errors[i], hi.z_errors[i]]
-                    )
-                )
-                for i in range(nz)
-            ],
-        }
-    return rates, endpoint
+    return rates
 
 
 def run_experiment(
@@ -267,7 +244,12 @@ def run_experiment(
                 stacklevel=2,
             )
     start = time.monotonic()
-    overrides = spec.solver_overrides()
+    overrides = {
+        "m_comb": spec.m_comb,
+        "r": spec.r,
+        "gh_points": spec.gh_points,
+        "init_mode": spec.init_mode,
+    }
 
     results: list[CellResult] = []
     for k, n in spec.cells():
@@ -276,9 +258,9 @@ def run_experiment(
                 k=k, n_steps=n, status="skipped", message="budget exhausted"
             ))
         else:
-            results.append(run_cell(problem, k, n, overrides, spec.repetitions))
+            results.append(run_cell(problem, k, n, overrides))
 
-    rates, endpoint = _fit_rates(spec.ks, results)
+    rates = _fit_rates(spec.ks, results)
     y_ref, z_ref = _reference(problem)
     config = asdict(spec)
     config["ks"] = list(spec.ks)  # tuples would come back as lists from JSON
@@ -290,7 +272,6 @@ def run_experiment(
         config=config,
         cells=results,
         rates=rates,
-        rates_endpoint=endpoint,
         y_reference=y_ref.tolist() if y_ref is not None else None,
         z_reference=z_ref.ravel().tolist() if z_ref is not None else None,
     )

@@ -95,60 +95,64 @@ def _cmd_quadrature(args: argparse.Namespace) -> int:
     return 0
 
 
-_RUN_DEFAULTS = {
-    "problem": None,  # required
-    "k": [3],
-    "nt": [16, 20, 24, 28, 32],
-    "m_comb": 4,
-    "r": None,
-    "gh_points": None,
-    "init_mode": "exact",
-    "repetitions": 1,
-    "format": "json",
+#: Report formats of ``run``; the ``format`` setting picks one, "json" if unset.
+_RUN_FORMATS = ("json", "csv", "md")
+
+#: ``run`` settings, as flags and config keys, and the :class:`ExperimentSpec`
+#: field each sets.  A setting left unset keeps the spec's default, which is
+#: the solver's.  ``format`` is the one other setting.
+_RUN_FIELDS = {
+    "problem": "problem",
+    "k": "ks",
+    "nt": "n_steps",
+    "m_comb": "m_comb",
+    "r": "r",
+    "gh_points": "gh_points",
+    "init_mode": "init_mode",
 }
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    settings = dict(_RUN_DEFAULTS)
+    keys = [*_RUN_FIELDS, "format"]
+    settings: dict = {}
     if args.config:
         try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 2
-        unknown = set(loaded) - set(settings)
+        if not isinstance(settings, dict):
+            print(f"error: config {args.config} is not a JSON object", file=sys.stderr)
+            return 2
+        unknown = set(settings) - set(keys)
         if unknown:
             print(
                 f"error: unknown config keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(settings)}",
+                f"expected a subset of {sorted(keys)}",
                 file=sys.stderr,
             )
             return 2
-        for key, val in loaded.items():
-            if key in ("k", "nt") and isinstance(val, str):
-                val = _int_list(val)
-            settings[key] = val
     # Explicit flags override config-file values.
-    for key in settings:
-        flag = getattr(args, key, None)
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
             settings[key] = flag
-    if settings["problem"] is None:
+    if settings.get("problem") is None:
         print("error: --problem is required (by flag or config file)", file=sys.stderr)
         return 2
-    try:
-        spec = ExperimentSpec(
-            problem=settings["problem"],
-            ks=tuple(settings["k"]),
-            n_steps=tuple(settings["nt"]),
-            m_comb=settings["m_comb"],
-            r=settings["r"],
-            gh_points=settings["gh_points"],
-            init_mode=settings["init_mode"],
-            repetitions=settings["repetitions"],
-            format=settings["format"],
+    fmt = settings.pop("format", "json")
+    if fmt not in _RUN_FORMATS:
+        print(
+            f"error: format must be one of {list(_RUN_FORMATS)}, got {fmt!r}",
+            file=sys.stderr,
         )
-    except (ValueError, KeyError) as exc:
+        return 2
+    try:
+        for key in ("k", "nt"):
+            if isinstance(settings.get(key), str):
+                settings[key] = _int_list(settings[key])
+        spec = ExperimentSpec(**{_RUN_FIELDS[key]: v for key, v in settings.items()})
+    except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -156,7 +160,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as exc:  # unknown problem key
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    _write(emit_report(report, settings["format"]), args.out)
+    _write(emit_report(report, fmt), args.out)
     failed = [c for c in report.cells if c.status == "failed"]
     for c in failed:
         print(
@@ -180,20 +184,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--nt", type=_int_list, default=None,
                        help="comma-separated time-step counts, e.g. 16,20,24,28,32")
     p_run.add_argument("--m-comb", dest="m_comb", type=int, default=None,
-                       help="combination width (default 4)")
+                       help=f"combination width (default {ExperimentSpec.m_comb})")
     p_run.add_argument("--r", type=int, default=None,
                        help="interpolation degree (default max(10, k+1))")
     p_run.add_argument("--gh-points", dest="gh_points", type=int, default=None,
                        help="quadrature nodes per Brownian axis")
     p_run.add_argument("--init-mode", dest="init_mode",
                        choices=["exact", "ramp"], default=None)
-    p_run.add_argument("--repetitions", type=int, default=None,
-                       help="repeat each cell; wall time is the median")
     p_run.add_argument("--config", help="JSON file with run settings (flags override)")
     p_run.add_argument("--budget-seconds", dest="budget_seconds", type=float,
                        default=None,
                        help="skip cells that would start after this much elapsed time")
-    p_run.add_argument("--format", choices=["json", "csv", "md"], default=None)
+    p_run.add_argument("--format", choices=_RUN_FORMATS, default=None)
     p_run.add_argument("--out", help="output path (stdout when omitted)")
     p_run.set_defaults(func=_cmd_run)
 

@@ -55,30 +55,24 @@ class TensorRule:
         return pts, w
 
 
-def _hermite_orthonormal(x: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values of the orthonormal Hermite polynomials h̃_L and h̃_{L-1} at x.
+def _hermite_recurrence(
+    x: np.ndarray, L: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h̃_L, h̃_{L-1} and Σ_{n<L} h̃_n² at x, h̃ the orthonormal Hermite polynomials.
 
     Orthonormal w.r.t. e^{-x²}: h̃_0 = π^{-1/4},
-    h̃_{n+1} = x·√(2/(n+1))·h̃_n − √(n/(n+1))·h̃_{n-1}.
+    h̃_{n+1} = x·√(2/(n+1))·h̃_n − √(n/(n+1))·h̃_{n-1}.  The sum is the
+    reciprocal of the Christoffel function, which at a Gauss node is the
+    node's weight.
     """
     h_prev = np.zeros_like(x)
     h = np.full_like(x, math.pi**-0.25)
+    acc = np.zeros_like(x)
     for n in range(L):
-        h_next = x * math.sqrt(2.0 / (n + 1)) * h - math.sqrt(n / (n + 1)) * h_prev
-        h_prev, h = h, h_next
-    return h, h_prev  # (h̃_L, h̃_{L-1})
-
-
-def _christoffel_weights(x: np.ndarray, L: int) -> np.ndarray:
-    """Gauss weights via the Christoffel function: ω_i = 1 / Σ_{n<L} h̃_n(x_i)²."""
-    h_prev = np.zeros_like(x)
-    h = np.full_like(x, math.pi**-0.25)
-    acc = h * h
-    for n in range(L - 1):
-        h_next = x * math.sqrt(2.0 / (n + 1)) * h - math.sqrt(n / (n + 1)) * h_prev
-        h_prev, h = h, h_next
         acc += h * h
-    return 1.0 / acc
+        h_next = x * math.sqrt(2.0 / (n + 1)) * h - math.sqrt(n / (n + 1)) * h_prev
+        h_prev, h = h, h_next
+    return h, h_prev, acc
 
 
 def gauss_hermite(npoints: int) -> QuadratureRule1D:
@@ -101,12 +95,13 @@ def gauss_hermite(npoints: int) -> QuadratureRule1D:
     x = np.linalg.eigvalsh(jacobi)
 
     # One Newton step on h̃_L (derivative h̃'_L = √(2L)·h̃_{L-1}).
-    hL, hLm1 = _hermite_orthonormal(x, L)
+    hL, hLm1, _ = _hermite_recurrence(x, L)
     x = x - hL / (math.sqrt(2.0 * L) * hLm1)
 
-    # Enforce exact ± symmetry, then recompute weights at the polished nodes.
+    # Enforce exact ± symmetry, then recompute weights at the polished nodes:
+    # ω_i = 1 / Σ_{n<L} h̃_n(x_i)².
     x = 0.5 * (x - x[::-1])
-    w = _christoffel_weights(x, L)
+    w = 1.0 / _hermite_recurrence(x, L)[2]
     w = 0.5 * (w + w[::-1])
     return QuadratureRule1D(L, x, w)
 

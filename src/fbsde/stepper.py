@@ -289,67 +289,38 @@ def y_update(
     z_val: np.ndarray,
     f: Callable,
     y_seed: np.ndarray,
-    tol: float,
-    max_iter: int,
 ) -> tuple[np.ndarray, int]:
     """Solve the implicit relation c0·Y + rhs + Δt·f(t_n, x, Y, Z) = 0 by Picard.
 
     ``rhs`` is the already-weighted sum Σ_{j≥1} c_j·E[Y^{n+j}], shape (P, m).
     Iterates Y ← −(rhs + Δt·f)/c0 from ``y_seed`` until the update falls below
-    ``tol`` (absolute, plus relative in the same factor) at every point.  When
-    f is constant in Y the first evaluation already lands on the fixed point
-    and the second merely confirms it.
+    ``_PICARD_TOL`` (absolute, plus relative in the same factor) at every
+    point, and raises :class:`PicardDivergence` after ``_PICARD_MAX``
+    iterations.  When f is constant in Y the first evaluation already lands
+    on the fixed point and the second merely confirms it.
 
     Returns (Y, iterations taken).
     """
     y = np.array(y_seed, dtype=float, copy=True)
     delta = np.zeros_like(y)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _PICARD_MAX + 1):
         f_val = np.asarray(f(t_n, x, y, z_val), float)
         y_new = -(rhs + dt * f_val) / c0
         delta = np.abs(y_new - y)
         y = y_new
-        if np.all(delta <= tol * (1.0 + np.abs(y_new))):
+        if np.all(delta <= _PICARD_TOL * (1.0 + np.abs(y_new))):
             return y, it
     worst = int(np.argmax(np.max(delta, axis=-1)))
     raise PicardDivergence(
-        f"implicit update did not converge in {max_iter} iterations at "
+        f"implicit update did not converge in {_PICARD_MAX} iterations at "
         f"t = {t_n:.6g}, node x = {x[worst]} "
-        f"(last update {float(np.max(delta)):.3e}, tol {tol:.1e})"
+        f"(last update {float(np.max(delta)):.3e}, tol {_PICARD_TOL:.1e})"
     )
 
 
 # ---------------------------------------------------------------------------
 # Level steps
 # ---------------------------------------------------------------------------
-
-
-def _advance(
-    window: Sequence[ValueLevel],
-    t_n: float,
-    dt: float,
-    problem: FbsdeProblem,
-    coeffs: np.ndarray,
-    rule: TensorRule,
-    r: int,
-    X: np.ndarray,
-    y_freeze: np.ndarray,
-    z_freeze: np.ndarray,
-    y_seed: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One frozen-coefficient pass over the given nodes: Z first, implicit Y."""
-    pairs = conditional_expectations(
-        window, X, t_n, dt, problem, y_freeze, z_freeze, rule, r
-    )
-    z_new = z_update([p[1] for p in pairs], coeffs, dt)
-    rhs = kahan_sum(
-        np.stack([coeffs[j] * pairs[j - 1][0] for j in range(1, len(pairs) + 1)])
-    )
-    y_new, iters = y_update(
-        rhs, coeffs[0], dt, t_n, X, z_new, problem.f, y_seed,
-        _PICARD_TOL, _PICARD_MAX,
-    )
-    return y_new, z_new, iters
 
 
 def step_coupled(
@@ -390,9 +361,14 @@ def step_coupled(
     y_seed = near.y[seed].reshape(-1, near.m)
     y_cur, z_cur = y_seed, near.z[seed].reshape(-1, near.m, near.d)
     for outer in range(1, cfg.outer_max + 1):
-        y_new, z_new, iters = _advance(
-            window, t_n, dt, problem, coeffs, rule, r, X, y_cur, z_cur, y_seed,
+        pairs = conditional_expectations(
+            window, X, t_n, dt, problem, y_cur, z_cur, rule, r
         )
+        z_new = z_update([p[1] for p in pairs], coeffs, dt)
+        rhs = kahan_sum(
+            np.stack([coeffs[j] * pairs[j - 1][0] for j in range(1, len(pairs) + 1)])
+        )
+        y_new, iters = y_update(rhs, coeffs[0], dt, t_n, X, z_new, problem.f, y_seed)
         if not problem.coupled:
             break
         change = np.maximum(

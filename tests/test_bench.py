@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fbsde.bench import (
     run_experiment,
 )
 from fbsde.problems import get_problem
+from fbsde.stepper import SolverConfig
 
 CSV_HEADER = "problem,k,n_steps,metric,value,status,message"
 
@@ -33,6 +35,7 @@ def test_fit_convergence_rate_known_values():
     assert fit_convergence_rate([16, 32], [1e-3, 1.25e-4]) == pytest.approx(3.0, abs=1e-12)
     assert fit_convergence_rate([16, 32], [1e-3, 1e-3]) == pytest.approx(0.0, abs=1e-12)
     assert math.isnan(fit_convergence_rate([16], [1e-3]))
+    assert math.isnan(fit_convergence_rate([16, 16], [1e-3, 1e-4]))  # one grid point
     assert math.isnan(fit_convergence_rate([16, 32], [1e-3, 0.0]))
     assert math.isnan(fit_convergence_rate([16, 32], [1e-3, float("nan")]))
     assert math.isnan(fit_convergence_rate([16, 32], [1e-3, -1e-4]))
@@ -49,24 +52,22 @@ def test_spec_validation():
         ExperimentSpec(problem="example1", ks=())
     with pytest.raises(ValueError):
         ExperimentSpec(problem="example1", n_steps=())
-    with pytest.raises(ValueError):
-        ExperimentSpec(problem="example1", repetitions=0)
     with pytest.raises(ValueError) as err:
         ExperimentSpec(problem="example1", ks=(3, 5), n_steps=(6, 16))
     assert "(5, 6)" in str(err.value)  # the offending pair is named
+    with pytest.raises(ValueError, match=r"ks repeats \[3\]"):
+        ExperimentSpec(problem="example1", ks=(3, 5, 3))
+    with pytest.raises(ValueError, match=r"n_steps repeats \[8\]"):
+        ExperimentSpec(problem="example1", n_steps=(8, 8))
+    with pytest.raises(TypeError, match="ks and n_steps"):
+        ExperimentSpec(problem="example1", ks=3)
+    with pytest.raises(TypeError, match="m_comb"):
+        ExperimentSpec(problem="example1", m_comb="4")
 
 
 def test_spec_cells_sorted_and_overrides():
     spec = ExperimentSpec(problem="example1", ks=(5, 3), n_steps=(32, 16))
     assert spec.cells() == [(3, 16), (3, 32), (5, 16), (5, 32)]
-    assert spec.solver_overrides() == {"m_comb": 4, "init_mode": "exact"}
-    rich = ExperimentSpec(
-        problem="example1", ks=(3,), n_steps=(16,), r=12, gh_points=6,
-        init_mode="ramp", m_comb=2,
-    )
-    assert rich.solver_overrides() == {
-        "m_comb": 2, "init_mode": "ramp", "r": 12, "gh_points": 6,
-    }
 
 
 def test_experiment_produces_ok_cells_and_rates(small_report):
@@ -83,9 +84,13 @@ def test_experiment_produces_ok_cells_and_rates(small_report):
     y_errs = [c.y_errors[0] for c in rep.cells]
     assert y_errs[0] > y_errs[-1]
     assert rep.rates["3"]["y"][0] > 1.5
-    assert "3" in rep.rates_endpoint
     assert rep.y_reference is not None and rep.z_reference is not None
     assert rep.config["ks"] == [3] and rep.config["n_steps"] == [8, 12, 16]
+
+
+def test_sweep_adds_no_solver_defaults(small_report):
+    for c in small_report.cells:
+        assert c.diagnostics["config"] == asdict(SolverConfig(k=c.k, n_steps=c.n_steps))
 
 
 def test_json_round_trip_is_lossless(small_report):
@@ -150,7 +155,7 @@ def test_unstable_scheme_warns_and_cell_fails():
 
 def test_run_cell_error_bookkeeping():
     problem = get_problem("example1")
-    cell = run_cell(problem, 3, 8, {}, repetitions=2)
+    cell = run_cell(problem, 3, 8, {})
     assert cell.status == "ok"
     y_ref = float(problem.analytic_y(0.0, problem.x0)[0])
     assert cell.y_errors[0] == pytest.approx(abs(cell.y0[0] - y_ref), abs=0)
@@ -159,7 +164,7 @@ def test_run_cell_error_bookkeeping():
 
 def test_run_cell_converts_failures_to_status():
     problem = get_problem("example1")
-    cell = run_cell(problem, 3, 8, {"r": -3}, repetitions=1)
+    cell = run_cell(problem, 3, 8, {"r": -3})
     assert cell.status == "failed"
     assert cell.message and cell.y0 is None
 

@@ -230,6 +230,30 @@ def test_run_config_unreadable(capsys):
     assert "cannot read config" in err
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"problem": "example1", "k": "3,x", "nt": [8]},
+        {"problem": "example1", "k": 3, "nt": [8]},
+        {"problem": "example1", "nt": [8], "m_comb": "4"},
+        {"problem": ["example1"], "nt": [8]},
+        {"problem": "example1", "nt": [8], "format": "xml"},
+        ["problem"],
+    ],
+    ids=[
+        "k-not-integers", "k-not-a-list", "m_comb-string", "problem-not-a-string",
+        "bad-format", "not-an-object",
+    ],
+)
+def test_run_config_wrong_value_is_clean_error(tmp_path, capsys, settings):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(settings))
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_run_markdown_format(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--problem", "example1", "--k", "3", "--nt", "8,12",

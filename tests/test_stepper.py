@@ -216,7 +216,7 @@ def test_y_update_is_direct_for_y_independent_drivers():
         return np.full_like(y, 1.3)
 
     y, iters = y_update(rhs, c0=-2.0, dt=0.1, t_n=0.0, x=x, z_val=z, f=f,
-                        y_seed=np.zeros((1, 1)), tol=1e-14, max_iter=50)
+                        y_seed=np.zeros((1, 1)))
     assert y[0, 0] == pytest.approx((0.8 + 0.1 * 1.3) / 2.0, rel=1e-15)
     assert iters <= 2
 
@@ -230,7 +230,7 @@ def test_y_update_contracts_to_fixed_point():
         return 0.5 * np.sin(y)
 
     y, iters = y_update(rhs, c0=-2.0, dt=0.3, t_n=0.0, x=x, z_val=z, f=f,
-                        y_seed=np.zeros((1, 1)), tol=1e-14, max_iter=100)
+                        y_seed=np.zeros((1, 1)))
     residual = -2.0 * y + rhs + 0.3 * f(0.0, x, y, z)
     assert abs(residual[0, 0]) < 1e-13
     assert iters < 20
@@ -246,7 +246,7 @@ def test_y_update_reports_divergence():
 
     with pytest.raises(PicardDivergence) as err:
         y_update(rhs, c0=1.0, dt=1.0, t_n=0.0, x=x, z_val=z, f=f,
-                 y_seed=np.ones((1, 1)), tol=1e-14, max_iter=30)
+                 y_seed=np.ones((1, 1)))
     assert "did not converge" in str(err.value)
     assert "0.25" in str(err.value)
 
