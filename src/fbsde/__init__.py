@@ -26,7 +26,6 @@ from .lattice import (
     OutOfDomain,
     ValueLevel,
     build_lattice,
-    interpolate,
     interpolate_values,
 )
 from .problems import (
@@ -81,7 +80,6 @@ __all__ = [
     "gauss_hermite_tensor",
     "gaussian_expectation",
     "get_problem",
-    "interpolate",
     "interpolate_values",
     "run_experiment",
     "solve",

@@ -3,8 +3,10 @@
 A lattice stores nodes x_i = origin + i·h for integer multi-indices i between
 ``lo`` and ``hi`` (inclusive, per axis).  Values living on the lattice are
 interpolated with degree-r Lagrange polynomials on the r+1 nodes nearest the
-query along each axis; near the boundary the stencil shifts inward, so it
-always interpolates (a centered-but-outside stencil is never used).  The
+query along each axis.  Queries must lie inside the hull [lo, hi]; one beyond
+it raises :class:`OutOfDomain`, so values are never extrapolated.  Near the
+hull the stencil becomes one-sided: it is clipped to the r+1 nodes nearest
+the query inside [lo, hi], so it reads stored values only.  The
 evaluation uses the second barycentric formula with the exact uniform-grid
 weights (-1)^i·C(r, i), which reproduces polynomials of degree ≤ r up to
 rounding and returns stored values bit-exactly when the query hits a node.
@@ -19,7 +21,8 @@ import numpy as np
 
 MAX_NODES = 100_000_000
 
-#: Queries within this fraction of h of a node snap to the stored value.
+#: Queries within this fraction of h of a node snap to the stored value, and
+#: within this fraction of h outside the hull still count as inside it.
 NODE_SNAP_TOL = 1e-9
 
 
@@ -32,7 +35,7 @@ class TooFewNodes(ValueError):
 
 
 class OutOfDomain(ValueError):
-    """Raised when a query, or the stencil it needs, lies outside the data."""
+    """Raised when a query lies outside the lattice hull."""
 
 
 @dataclass(frozen=True)
@@ -148,23 +151,15 @@ def _binomial_weights(r: int) -> np.ndarray:
     return np.array([(-1) ** i * math.comb(r, i) for i in range(r + 1)], dtype=float)
 
 
-def stencil_start(u: np.ndarray, r: int) -> np.ndarray:
-    """First index of the run of r+1 indices nearest ``u``, before any clipping.
-
-    ``u`` is in absolute index coordinates; exact midway ties go to the lower
-    start.  The start is non-decreasing in u.
-    """
-    return np.ceil(u - r / 2.0 - 0.5).astype(int)
-
-
 def _axis_stencil(u: np.ndarray, r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Stencil starts and normalized barycentric weights along one axis.
 
     ``u`` is the query in absolute index coordinates.  The stencil is the run
-    of r+1 indices nearest u (:func:`stencil_start`), clipped into [lo, hi].
-    Node-coincident queries return one-hot weights.
+    of r+1 indices nearest u (exact midway ties go to the lower start),
+    clipped into [lo, hi], so near the hull it is one-sided.  Node-coincident
+    queries return one-hot weights.
     """
-    starts = stencil_start(u, r)
+    starts = np.ceil(u - r / 2.0 - 0.5).astype(int)
     np.clip(starts, lo, hi - r, out=starts)
     local = u - starts
     dist = local[:, None] - np.arange(r + 1)[None, :]
@@ -190,8 +185,10 @@ def interpolate_values(
     Parameters
     ----------
     values : array of shape `lattice.shape + rest`
-    queries : (Q, dim) physical coordinates; a query beyond the lattice hull
-        by more than h/2 raises OutOfDomain
+    queries : (Q, dim) physical coordinates inside the lattice hull; a query
+        more than ``NODE_SNAP_TOL`` nodes beyond it, or a NaN one, raises
+        OutOfDomain naming the axis and the overhang in nodes.  Near the
+        hull the stencil is one-sided over stored nodes.
 
     Returns
     -------
@@ -208,14 +205,13 @@ def interpolate_values(
         raise ValueError(f"queries must be (Q, {lattice.dim}), got {queries.shape}")
 
     u_all = (queries - lattice.origin) / lattice.h
-    beyond = (u_all < lattice.lo - 0.5 - NODE_SNAP_TOL) | (
-        u_all > lattice.hi + 0.5 + NODE_SNAP_TOL
-    )
-    if np.any(beyond):
-        q_bad, ax_bad = np.argwhere(beyond)[0]
+    overhang = np.maximum(lattice.lo - u_all, u_all - lattice.hi)
+    if not np.all(overhang <= NODE_SNAP_TOL):  # NaN queries fail here too
+        q_bad, ax_bad = np.unravel_index(np.argmax(overhang), overhang.shape)
         raise OutOfDomain(
-            f"query {queries[q_bad]} lies beyond the lattice hull by more "
-            f"than h/2 on axis {ax_bad} (hull {lattice.bounds[0]} .. {lattice.bounds[1]})"
+            f"query {queries[q_bad]} lies {overhang[q_bad, ax_bad]:.3g} node(s) "
+            f"beyond the lattice hull on axis {ax_bad} "
+            f"(hull {lattice.bounds[0]} .. {lattice.bounds[1]})"
         )
 
     rest = values.shape[lattice.dim :]
@@ -247,15 +243,3 @@ def interpolate_values(
             block = np.sum(block, axis=1)
         out[begin : begin + chunk] = block
     return out
-
-
-def interpolate(level: ValueLevel, query, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolate one level's (y, z) fields at a single query point.
-
-    Returns (y, z) with shapes (m,) and (m, d).  Raises OutOfDomain if the
-    query lies beyond the lattice hull by more than h/2.
-    """
-    point = np.atleast_1d(np.asarray(query, float)).reshape(1, -1)
-    y = interpolate_values(level.lattice, level.y, point, r)[0]
-    z = interpolate_values(level.lattice, level.z, point, r)[0]
-    return y, z

@@ -23,18 +23,19 @@ Spatially the scheme lives on an unbounded uniform lattice; a run only ever
 touches a finite cone of it.  Each marched level is stored on its own window
 lattice, the nodes within a half-width of x0 that shrinks as the march
 approaches t = 0: the window at level n exceeds the window at level n−1 by
-enough nodes that every quadrature point launched from a node of level n−1 —
-and the full interpolation stencil around it — lands inside the window of
-the level it reads.  Values are therefore never extrapolated, clamped, or
-read from uncomputed nodes.  The cone is sized from sampled coefficient
-bounds, so each read checks it: a stencil that would leave the level's window
-raises :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the axis and
-the overhang in nodes.
+enough nodes that every quadrature point launched from a node of level n−1
+lands inside the window of the level it reads.  Interpolation there uses
+stencils over that window's own nodes, one-sided near its edge, so values are
+never extrapolated, clamped, or read from uncomputed nodes.  The cone is
+sized from sampled coefficient bounds, so each read checks it: a quadrature
+point outside the level's window raises :class:`~fbsde.lattice.OutOfDomain`
+naming t_n, the span, the level, the axis and the overhang in nodes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -42,15 +43,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .fdweights import solve_weights
-from .hermite import TensorRule, gauss_hermite_tensor, kahan_sum
+from .hermite import MAX_POINTS, TensorRule, gauss_hermite_tensor, kahan_sum
 from .lattice import (
     Lattice,
     OutOfDomain,
-    TooFewNodes,
     ValueLevel,
     build_lattice,
     interpolate_values,
-    stencil_start,
 )
 from .problems import FbsdeProblem
 
@@ -137,6 +136,27 @@ class SolverConfig:
             raise ValueError(f"outer_max must be >= 1, got {self.outer_max}")
         if not self.epsilon0 > 0:
             raise ValueError(f"epsilon0 must be positive, got {self.epsilon0}")
+        self.check_r_gh_points(self.r, self.gh_points)
+
+    @staticmethod
+    def check_r_gh_points(r, gh_points) -> None:
+        """Raise unless ``r`` and ``gh_points`` are None or integers in range.
+
+        ``r`` must be at least 1 and ``gh_points`` in 1..``MAX_POINTS``.  A
+        non-integer raises TypeError, an integer out of range ValueError.
+        """
+        limits = (("r", r, math.inf), ("gh_points", gh_points, MAX_POINTS))
+        for name, value, high in limits:
+            if value is None:
+                continue
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise TypeError(
+                    f"{name} must be an integer or None, got {value!r}"
+                ) from None
+            if not 1 <= value <= high:
+                raise ValueError(f"{name} must be in 1..{high}, got {value}")
 
 
 @dataclass
@@ -190,31 +210,6 @@ def euler_points(
     return nodes, dw
 
 
-def _check_cone(
-    level: ValueLevel, nodes: np.ndarray, r: int, t_n: float, j: int
-) -> None:
-    """Raise unless every node's degree-r stencil lies inside ``level``'s lattice.
-
-    Stencil starts are non-decreasing in the query, so the per-axis min and
-    max of ``nodes`` bound every stencil the interpolation would use.  This is
-    the run-time check of the query-cone invariant: a read outside the
-    computed window would otherwise shift its stencil inward in silence.
-    """
-    lattice = level.lattice
-    # Reduce one column at a time: ``min(axis=0)`` of an (N, 2) array runs its
-    # inner loop over the short axis and is an order of magnitude slower.
-    ends = np.array([(col.min(), col.max()) for col in nodes.T])
-    first, last = stencil_start((ends - lattice.origin[:, None]) / lattice.h, r).T
-    overhang = np.maximum(lattice.lo - first, last + r - lattice.hi)
-    if np.any(overhang > 0):
-        ax = int(np.argmax(overhang))
-        raise OutOfDomain(
-            f"query cone too small at t = {t_n:.6g}, span j={j}: a degree-{r} "
-            f"stencil overhangs the computed window of level t = {level.t:.6g} "
-            f"by {int(overhang[ax])} node(s) on axis {ax}"
-        )
-
-
 def conditional_expectations(
     window: Sequence[ValueLevel],
     x: np.ndarray,
@@ -233,9 +228,9 @@ def conditional_expectations(
     for all spans; decoupled problems accept y = z = None.  The interpolated
     level values at the quadrature nodes are computed once per (x, j, q) and
     reused by both moments.  Quadrature sums are compensated and run in fixed
-    (j, q) order.  A quadrature point whose degree-r stencil leaves the
-    lattice of the level it reads raises :class:`~fbsde.lattice.OutOfDomain`
-    naming t_n, the span, the axis and the overhang in nodes.
+    (j, q) order.  A quadrature point outside the lattice of the level it
+    reads raises :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span,
+    the level's t, the axis and the overhang in nodes.
 
     Parameters
     ----------
@@ -255,8 +250,13 @@ def conditional_expectations(
     for j, level in enumerate(window, 1):
         nodes, dw = euler_points(x, a_val, b_val, q, j, dt)
         flat = nodes.reshape(-1, level.lattice.dim)
-        _check_cone(level, flat, r, t_n, j)
-        vals = interpolate_values(level.lattice, level.y, flat, r)
+        try:
+            vals = interpolate_values(level.lattice, level.y, flat, r)
+        except OutOfDomain as err:
+            raise OutOfDomain(
+                f"query cone too small at t = {t_n:.6g}, span j={j}, reading "
+                f"level t = {level.t:.6g}: {err}"
+            ) from err
         weighted = vals.reshape(P, -1, m) * w[None, :, None]
         ey = norm * kahan_sum(np.moveaxis(weighted, 1, 0))
         prod = weighted[..., None] * dw[None, :, None, :]
@@ -339,9 +339,9 @@ def step_coupled(
     ``window`` holds sealed levels n+1, n+2, … in ascending order and
     ``coeffs`` the matching scaled window-sum weights.  ``target`` shares the
     levels' origin and spacing and lies inside level n+1's lattice.
-    Quadrature points launched from its nodes must land, stencil included, on
-    the lattice of the level they read; the march sizes the windows so this
-    holds, and the read raises :class:`~fbsde.lattice.OutOfDomain` if not.
+    Quadrature points launched from its nodes must land on the lattice of the
+    level they read; the march sizes the windows so this holds, and the read
+    raises :class:`~fbsde.lattice.OutOfDomain` if not.
 
     A pass freezes a, b at the current (Y, Z) iterate, starting from the
     level n+1 values, and applies the explicit Z-update and then the implicit
@@ -441,22 +441,19 @@ def _hop_indices(
     q_max: float,
     dt: float,
     h: float,
-    r: int,
 ) -> np.ndarray:
     """Per-axis node count by which the active window must grow per level.
 
     A quadrature point launched from x over one span travels at most
-    |a|·Δt + ‖b‖₁·√(2Δt)·|q|_max along each axis, and the degree-r stencil
-    around it extends another r/2 + 1 nodes.  A window growing by this many
-    nodes per level keeps every read inside computed data for all spans
-    (j-step reaches are subadditive in j).
+    |a|·Δt + ‖b‖₁·√(2Δt)·|q|_max along each axis.  The hop is that reach in
+    whole nodes plus one, so a window growing by this many nodes per level
+    holds every quadrature point strictly inside the lattice it reads, for
+    all spans (j-step reaches are subadditive in j).  The stencils around
+    those points are the lattice's business: near a window edge they are
+    one-sided over its computed nodes.
     """
     reach = a_max * dt + b_max * math.sqrt(2.0 * dt) * q_max
-    return np.ceil(reach / h - 1e-12).astype(int) + (r // 2 + 2)
-
-
-#: Active half-width, in nodes, of the final (t = 0) level.
-_W_FINAL = 2
+    return np.ceil(reach / h - 1e-12).astype(int) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -470,28 +467,26 @@ def _march(
     rule: TensorRule,
     r: int,
     window: list[ValueLevel],
-    times: Iterable[float],
+    levels: Iterable[tuple[float, np.ndarray]],
     dt: float,
-    halfwidth: np.ndarray,
-    hop: np.ndarray,
 ) -> Iterator[tuple[ValueLevel, int, int]]:
-    """Compute one level per entry of ``times`` and yield each as it seals.
+    """Compute one level per entry of ``levels`` and yield each as it seals.
 
-    ``window`` holds the newest sealed levels, newest first, and ``times``
-    the t_n of the levels to compute in marching order, ``dt`` apart.  The
-    window is rotated in place, so a level is freed once it leaves it.  With ℓ
-    sealed levels in hand the step uses the weight row of order
-    k′ = min(k, ℓ) and m′ = min(m_comb, ℓ+1−k′), so a full window of k+m−1
-    levels gives (k, m_comb) and a short one grows the order as history
-    accrues.  Each level is computed on its own window lattice, ``halfwidth``
-    nodes either side of the origin node less ``hop`` nodes per level marched.
+    ``window`` holds the newest sealed levels, newest first, and ``levels``
+    the (t_n, per-axis half-width) of the levels to compute in marching
+    order, ``dt`` apart.  Each level is computed on its own window lattice,
+    that many nodes either side of the origin node.  The window is rotated
+    in place, so a level is freed once it leaves it.  With ℓ sealed levels in
+    hand the step uses the weight row of order k′ = min(k, ℓ) and
+    m′ = min(m_comb, ℓ+1−k′), so a full window of k+m−1 levels gives
+    (k, m_comb) and a short one grows the order as history accrues.
 
     Yields (level, Picard iterations, outer iterations) per level.
     """
     origin, h = window[0].lattice.origin, window[0].lattice.h
     width = cfg.k + cfg.m_comb - 1
     rows: dict[tuple[int, int], np.ndarray] = {}
-    for t_n in times:
+    for t_n, halfwidth in levels:
         k_eff = min(cfg.k, len(window))
         m_eff = min(cfg.m_comb, len(window) + 1 - k_eff)
         if (k_eff, m_eff) not in rows:
@@ -500,12 +495,6 @@ def _march(
                 dtype=float,
             )
         coeffs = rows[k_eff, m_eff]
-        halfwidth = halfwidth - hop
-        if np.any(halfwidth < _W_FINAL):
-            raise TooFewNodes(
-                "lattice too small for the query cone: "
-                f"halfwidth {halfwidth.tolist()} at t = {t_n:.6g}"
-            )
         level, piters, oiters = step_coupled(
             window[: len(coeffs) - 1], t_n, dt, problem, coeffs, rule, r,
             Lattice(origin=origin, h=h, lo=-halfwidth, hi=halfwidth), cfg,
@@ -609,11 +598,12 @@ def initialize_levels(
         z=z_term.reshape(shape + (problem.m, problem.d)),
     )
     levels.append(terminal)
-    times = (problem.T - i * dt_fine for i in range(1, (width - 1) * S + 1))
-    march = _march(
-        problem, cfg, rule, r, [terminal], times, dt_fine,
-        np.minimum(-lattice.lo, lattice.hi), fine_hop,
+    hull = np.minimum(-lattice.lo, lattice.hi)
+    fine = (
+        (problem.T - i * dt_fine, hull - i * fine_hop)
+        for i in range(1, (width - 1) * S + 1)
     )
+    march = _march(problem, cfg, rule, r, [terminal], fine, dt_fine)
     for i, (level, _, _) in enumerate(march, 1):
         if i % S == 0:
             levels.insert(0, level)
@@ -628,15 +618,16 @@ def initialize_levels(
 def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     """March the backward scheme from the terminal window down to t = 0.
 
-    The lattice is sized from the query cone: level n is computed on a window
-    lattice that exceeds the final (t = 0) window by n hops, each hop covering
-    the per-level quadrature reach plus the interpolation stencil, so no read
-    leaves computed data; a read that would raises
-    :class:`~fbsde.lattice.OutOfDomain`.  :func:`initialize_levels` fills the
-    top k+m−1 levels and the march loop it shares with the ramp computes the
-    rest with the full (k, m_comb) window.  Returns a :class:`SolveResult`
-    with the (m,)-vector ``y0`` and the (m, d)-matrix ``z0`` read directly at
-    the origin node x0 of the last level's window, plus diagnostics: the
+    The lattice is sized from the query cone: level n > 0 is computed on a
+    window lattice of half-width r // 2 + n hops, each hop covering the
+    per-level quadrature reach, so no quadrature point leaves computed data;
+    one that would raises :class:`~fbsde.lattice.OutOfDomain`.  Every level
+    that is read therefore holds a degree-r stencil, centred on each point
+    read from x0.  The t = 0 level is only read at x0 and is computed there
+    alone.  :func:`initialize_levels` fills the top k+m−1 levels and the
+    march loop it shares with the ramp computes the rest with the full
+    (k, m_comb) window.  Returns a :class:`SolveResult` with the (m,)-vector
+    ``y0`` and the (m, d)-matrix ``z0`` at x0, plus diagnostics: the
     resolved discretization, cone geometry, per-level Picard/outer iteration
     counts, and wall time.
     """
@@ -657,11 +648,9 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     hop = fine_hop = np.zeros(problem.n, int)
     for _ in range(4):
         a_max, b_max = _coefficient_bounds(problem, radius)
-        hop = _hop_indices(a_max, b_max, q_max, dt, h, r)
-        fine_hop = _hop_indices(
-            a_max, b_max, q_max, dt / cfg.init_substeps, h, r
-        )
-        half = _W_FINAL + cfg.n_steps * hop
+        hop = _hop_indices(a_max, b_max, q_max, dt, h)
+        fine_hop = _hop_indices(a_max, b_max, q_max, dt / cfg.init_substeps, h)
+        half = r // 2 + cfg.n_steps * hop
         if cfg.init_mode == "ramp":
             half = half + (width - 1) * cfg.init_substeps * fine_hop
         new_radius = half * h
@@ -671,11 +660,15 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     lattice = build_lattice(problem.x0, h, radius, r=r)
 
     first = cfg.n_steps - width
+    # Level n > 0 is read by later levels, so its window reaches r // 2 + n
+    # hops either side of x0 and holds a degree-r stencil; level 0 is read
+    # only at x0.
+    halfwidths = [r // 2 + n * hop for n in range(first, 0, -1)]
+    halfwidths.append(np.zeros_like(hop))
     march = _march(
         problem, cfg, rule, r,
         initialize_levels(problem, lattice, cfg, rule, r, fine_hop),
-        (n * dt for n in range(first, -1, -1)), dt,
-        _W_FINAL + (first + 1) * hop, hop,
+        zip((n * dt for n in range(first, -1, -1)), halfwidths), dt,
     )
     picard_per_level: list[int] = []
     outer_per_level: list[int] = []
@@ -684,9 +677,8 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
         if oiters:
             outer_per_level.append(oiters)
 
-    origin_index = tuple(-level.lattice.lo)
-    y0 = np.array(level.y[origin_index], copy=True)
-    z0 = np.array(level.z[origin_index], copy=True)
+    y0 = level.y.reshape(problem.m)
+    z0 = level.z.reshape(problem.m, problem.d)
     diagnostics = {
         "problem": problem.name,
         "config": asdict(cfg),
@@ -699,8 +691,8 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
         "radius": radius.tolist(),
         "coefficient_bounds": {"a_max": a_max.tolist(), "b_max": b_max.tolist()},
         "cone_hop_nodes": hop.tolist(),
-        "active_halfwidth_final": _W_FINAL,
-        "active_halfwidth_first": (_W_FINAL + first * hop).tolist(),
+        "active_halfwidth_final": 0,
+        "active_halfwidth_first": halfwidths[0].tolist(),
         "levels_marched": first + 1,
         "picard_iterations": picard_per_level,
         "picard_iterations_max": max(picard_per_level, default=0),

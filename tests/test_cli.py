@@ -182,9 +182,10 @@ def test_run_rejects_inadmissible_grid(capsys):
 
 
 def test_run_failed_cells_exit_nonzero(capsys):
+    # Degree 1 at k = 9 gives h = Δt^5: a 2-D lattice past TooManyNodes.
     code, out, err = run_cli(
-        capsys, "run", "--problem", "example1", "--k", "3", "--nt", "8",
-        "--r", "-3",
+        capsys, "run", "--problem", "example3", "--k", "9", "--nt", "12",
+        "--r", "1",
     )
     assert code == 2
     assert "failed" in err
@@ -239,10 +240,15 @@ def test_run_config_unreadable(capsys):
         {"problem": ["example1"], "nt": [8]},
         {"problem": "example1", "nt": [8], "format": "xml"},
         ["problem"],
+        {"problem": "example1", "nt": [8], "r": "12"},
+        {"problem": "example1", "nt": [8], "r": 3.5},
+        {"problem": "example1", "nt": [8], "r": 0},
+        {"problem": "example1", "nt": [8], "gh_points": 0},
     ],
     ids=[
         "k-not-integers", "k-not-a-list", "m_comb-string", "problem-not-a-string",
-        "bad-format", "not-an-object",
+        "bad-format", "not-an-object", "r-string", "r-float", "r-zero",
+        "gh_points-zero",
     ],
 )
 def test_run_config_wrong_value_is_clean_error(tmp_path, capsys, settings):

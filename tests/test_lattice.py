@@ -13,7 +13,6 @@ from fbsde.lattice import (
     ValueLevel,
     _axis_stencil,
     build_lattice,
-    interpolate,
     interpolate_values,
 )
 
@@ -135,14 +134,18 @@ def test_stencil_shifts_inward_at_boundary():
     assert starts[1] == 5  # hi - r
 
 
-def test_out_of_domain_raises_beyond_half_cell():
-    lat = build_lattice(0.0, 0.5, 1.0)
-    values = np.zeros(lat.shape + (1,))
-    interpolate_values(lat, values, np.array([[1.24]]), r=2)  # within hull + h/2
+def test_out_of_domain_is_strict_at_the_hull():
+    lat = build_lattice([0.0, 0.0], 0.5, 1.0)  # nodes −1.0 .. 1.0 per axis
+    values = np.arange(lat.num_nodes, dtype=float).reshape(lat.shape + (1,))
+    corners = np.array([[-1.0, -1.0], [1.0, 1.0 + 1e-3 * NODE_SNAP_TOL]])
+    got = interpolate_values(lat, values, corners, r=2)
+    assert got[:, 0].tolist() == [0.0, lat.num_nodes - 1.0]  # on the hull
     with pytest.raises(OutOfDomain) as err:
-        interpolate_values(lat, values, np.array([[1.26]]), r=2)
-    assert "axis 0" in str(err.value)
-    assert "hull" in str(err.value)
+        interpolate_values(lat, values, np.array([[0.0, 0.0], [0.3, -1.1]]), r=2)
+    message = str(err.value)
+    assert "0.2 node(s) beyond the lattice hull on axis 1" in message
+    with pytest.raises(OutOfDomain, match="nan node"):
+        interpolate_values(lat, values, np.array([[0.0, np.nan]]), r=2)
 
 
 def test_interpolate_values_validation():
@@ -174,20 +177,6 @@ def test_value_level_shape_validation():
         ValueLevel(lattice=lat, t=0.0, y=np.zeros((7, 2)), z=z)
     with pytest.raises(ValueError):
         ValueLevel(lattice=lat, t=0.0, y=y, z=np.zeros(lat.shape + (2,)))
-
-
-def test_interpolate_single_point_shapes():
-    lat = build_lattice([0.0, 0.0], 0.5, 1.5)
-    rng = np.random.default_rng(3)
-    level = ValueLevel(
-        lattice=lat,
-        t=0.0,
-        y=rng.normal(size=lat.shape + (2,)),
-        z=rng.normal(size=lat.shape + (2, 2)),
-    )
-    y, z = interpolate(level, [0.1, -0.2], r=3)
-    assert y.shape == (2,)
-    assert z.shape == (2, 2)
 
 
 def test_interpolation_error_shrinks_at_expected_order():

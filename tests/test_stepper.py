@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fbsde.stepper as stepper
-from fbsde.hermite import gauss_hermite_tensor
+from fbsde.hermite import MAX_POINTS, gauss_hermite_tensor
 from fbsde.lattice import OutOfDomain, ValueLevel, build_lattice
 from fbsde.problems import FbsdeProblem, get_problem
 from fbsde.stepper import (
@@ -83,11 +83,24 @@ def _window(lattice, times, yfun):
         dict(k=3, n_steps=16, init_substeps=0),
         dict(k=3, n_steps=16, outer_max=0),
         dict(k=3, n_steps=16, epsilon0=-1e-12),
+        dict(k=3, n_steps=16, r=0),
+        dict(k=3, n_steps=16, gh_points=0),
+        dict(k=3, n_steps=16, gh_points=MAX_POINTS + 1),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(r="12"), dict(r=3.5), dict(gh_points=8.0)],
+    ids=["r-string", "r-float", "gh_points-float"],
+)
+def test_config_rejects_non_integer_r_and_gh_points(kwargs):
+    with pytest.raises(TypeError, match="must be an integer or None"):
+        SolverConfig(k=3, n_steps=16, **kwargs)
 
 
 def test_config_accepts_minimum_steps():
@@ -336,8 +349,8 @@ def test_undersized_query_cone_is_reported():
     message = str(err.value)
     assert "t = 0.416667" in message
     assert "span j=1" in message
-    assert "axis 0" in message
-    assert "by 2 node(s)" in message
+    assert "reading level t = 0.5" in message
+    assert "2.67 node(s) beyond the lattice hull on axis 0" in message
 
 
 def test_marched_levels_live_on_their_windows(monkeypatch):
@@ -355,8 +368,10 @@ def test_marched_levels_live_on_their_windows(monkeypatch):
     first = diag["levels_marched"] - 1
     hop = np.array(diag["cone_hop_nodes"])
     assert len(sealed) == first + 1
+    assert diag["active_halfwidth_first"] == (diag["r"] // 2 + first * hop).tolist()
     for i, level in enumerate(sealed):
-        halfwidth = diag["active_halfwidth_final"] + (first - i) * hop
+        n = first - i  # level n > 0 is read later; level 0 only at x0
+        halfwidth = diag["r"] // 2 + n * hop if n else 0 * hop
         assert level.lattice.shape == tuple(2 * halfwidth + 1)
         assert np.array_equal(level.lattice.lo, -halfwidth)
         assert np.all(np.isfinite(level.y)) and np.all(np.isfinite(level.z))
@@ -400,6 +415,21 @@ def test_solver_is_deterministic():
     second = solve(problem, cfg)
     assert np.array_equal(first.y0, second.y0)
     assert np.array_equal(first.z0, second.z0)
+
+
+def test_coupled_ramp_converges_at_default_tolerance():
+    """The ramp window holds no far-out nodes whose outer loop stalls.
+
+    Nodes far from x0 can leave the outer loop's change just above the
+    absolute ``epsilon0``; hops of the quadrature reach keep this solve's
+    windows narrow enough to converge at the default.
+    """
+    problem = get_problem("example2")
+    cfg = SolverConfig(k=5, n_steps=8, init_mode="ramp", init_substeps=8)
+    y0, z0, _ = solve(problem, cfg)
+    assert cfg.epsilon0 == 1e-12
+    assert abs(y0[0] - problem.analytic_y(0.0, problem.x0)[0]) < 1e-4
+    assert abs(z0[0, 0] - problem.analytic_z(0.0, problem.x0)[0, 0]) < 1e-4
 
 
 def test_ramp_initialization_accuracy():
