@@ -46,7 +46,7 @@ class ExperimentSpec:
     :class:`~fbsde.stepper.SolverConfig` unchanged and default to its
     values; ``None`` leaves ``r`` and ``gh_points`` for the solver to derive.
     ``r`` and ``gh_points`` are checked up front with
-    :meth:`~fbsde.stepper.SolverConfig.check_r_gh_points`, so a bad value
+    :meth:`~fbsde.stepper.SolverConfig.check_integers`, so a bad value
     stops the sweep before any cell runs.
     """
 
@@ -76,7 +76,7 @@ class ExperimentSpec:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"{name} repeats {repeated}; list each value once")
-        SolverConfig.check_r_gh_points(self.r, self.gh_points)
+        SolverConfig.check_integers(r=self.r, gh_points=self.gh_points)
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "n_steps", ns)
         object.__setattr__(self, "m_comb", m_comb)

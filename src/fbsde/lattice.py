@@ -14,12 +14,17 @@ rounding and returns stored values bit-exactly when the query hits a node.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 MAX_NODES = 100_000_000
+
+#: Bytes of stencil values and node indices that one block of queries in
+#: `interpolate_values` gathers; memory stays flat however many queries come.
+_BLOCK_BYTES = 2 * 2**20
 
 #: Queries within this fraction of h of a node snap to the stored value, and
 #: within this fraction of h outside the hull still count as inside it.
@@ -84,19 +89,13 @@ class Lattice:
         return np.stack(grids, axis=-1)
 
 
-def build_lattice(
-    center,
-    h: float,
-    radius,
-    r: int | None = None,
-    max_nodes: int = MAX_NODES,
-) -> Lattice:
+def build_lattice(center, h: float, radius, r: int | None = None) -> Lattice:
     """Lattice centered on `center` covering at least ±radius per axis.
 
     Bounds are rounded outward, so the hull always contains center ± radius and
     `center` itself is the index-0 node.  `radius` may be a scalar or per-axis
-    sequence.  With `r` given, the build fails early (TooFewNodes) if a degree-r
-    stencil would not fit.
+    sequence.  The build fails early: TooManyNodes above ``MAX_NODES`` nodes,
+    and with `r` given, TooFewNodes if a degree-r stencil would not fit.
     """
     origin = np.atleast_1d(np.asarray(center, float))
     if h <= 0:
@@ -106,9 +105,9 @@ def build_lattice(
         raise ValueError("radius must be non-negative")
     half = np.array([int(math.ceil(v / h - 1e-12)) for v in rad])
     lat = Lattice(origin=origin, h=float(h), lo=-half, hi=half)
-    if lat.num_nodes > max_nodes:
+    if lat.num_nodes > MAX_NODES:
         raise TooManyNodes(
-            f"lattice would hold {lat.num_nodes} nodes (> {max_nodes}); "
+            f"lattice would hold {lat.num_nodes} nodes (> {MAX_NODES}); "
             f"shape {lat.shape}"
         )
     if r is not None and any(n < r + 1 for n in lat.shape):
@@ -147,8 +146,13 @@ class ValueLevel:
         return self.z.shape[-1]
 
 
-def _binomial_weights(r: int) -> np.ndarray:
-    return np.array([(-1) ** i * math.comb(r, i) for i in range(r + 1)], dtype=float)
+@functools.cache
+def _stencil_constants(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only barycentric weights (-1)^i·C(r, i) and offsets 0..r."""
+    weights = np.array([(-1) ** i * math.comb(r, i) for i in range(r + 1)], dtype=float)
+    offsets = np.arange(r + 1)
+    weights.flags.writeable = offsets.flags.writeable = False
+    return weights, offsets
 
 
 def _axis_stencil(u: np.ndarray, r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,12 +163,13 @@ def _axis_stencil(u: np.ndarray, r: int, lo: int, hi: int) -> tuple[np.ndarray, 
     clipped into [lo, hi], so near the hull it is one-sided.  Node-coincident
     queries return one-hot weights.
     """
+    bary, offsets = _stencil_constants(r)
     starts = np.ceil(u - r / 2.0 - 0.5).astype(int)
     np.clip(starts, lo, hi - r, out=starts)
     local = u - starts
-    dist = local[:, None] - np.arange(r + 1)[None, :]
+    dist = local[:, None] - offsets[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = _binomial_weights(r) / dist
+        w = bary / dist
     hits = np.abs(dist) < NODE_SNAP_TOL
     hit_rows = hits.any(axis=1)
     if np.any(hit_rows):
@@ -178,9 +183,11 @@ def interpolate_values(
     values: np.ndarray,
     queries: np.ndarray,
     r: int,
-    chunk: int = 32768,
 ) -> np.ndarray:
     """Tensor-product degree-r interpolation of gridded values at many points.
+
+    Queries run in blocks whose gather takes at most ``_BLOCK_BYTES`` (one
+    query at least); each result depends on its own query only.
 
     Parameters
     ----------
@@ -223,8 +230,11 @@ def interpolate_values(
     # so every bit of the result, is the same as weighting a fresh copy.
     flat = values.reshape((-1,) + rest)
     dtype = np.result_type(values.dtype, np.float64)
-    for begin in range(0, u_all.shape[0], chunk):
-        u = u_all[begin : begin + chunk]
+    offsets = _stencil_constants(r)[1]
+    per_query = (r + 1) ** dim * (math.prod(rest) + 1) * 8
+    rows = max(1, _BLOCK_BYTES // per_query)
+    for begin in range(0, u_all.shape[0], rows):
+        u = u_all[begin : begin + rows]
         q = u.shape[0]
         node = np.zeros((q,) + (1,) * dim, dtype=np.intp)
         weights = []
@@ -233,7 +243,7 @@ def interpolate_values(
             shape = [q] + [1] * dim
             shape[1 + ax] = r + 1
             node = node * lattice.shape[ax] + (
-                starts[:, None] - int(lattice.lo[ax]) + np.arange(r + 1)
+                starts[:, None] - int(lattice.lo[ax]) + offsets
             ).reshape(shape)
             weights.append(w)
         block = np.take(flat, node, axis=0).astype(dtype, copy=False)
@@ -241,5 +251,5 @@ def interpolate_values(
             wshape = (q, r + 1) + (1,) * (block.ndim - 2)
             block *= weights[ax].reshape(wshape)
             block = np.sum(block, axis=1)
-        out[begin : begin + chunk] = block
+        out[begin : begin + rows] = block
     return out

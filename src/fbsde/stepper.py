@@ -82,10 +82,21 @@ class OuterDivergence(RuntimeError):
     """A coupled fixed point (a level's outer loop or the terminal Z) did not converge."""
 
 
-#: Tolerance (absolute, plus relative in the same factor) and iteration cap
-#: of the Picard iteration that solves each pass's implicit Y-update.
+#: Tolerances and iteration caps of the Picard iteration that solves each
+#: pass's implicit Y-update (absolute, plus relative in the same factor) and
+#: of the coupled outer loop (absolute; the cap also bounds the ramp's
+#: terminal-Z fixed point).
 _PICARD_TOL = 1e-14
 _PICARD_MAX = 100
+_OUTER_TOL = 1e-12
+_OUTER_MAX = 200
+
+#: Lowest and highest admissible value of each integer field of
+#: :class:`SolverConfig`; ``r`` and ``gh_points`` may also be None.
+_INTEGER_RANGES = {
+    "k": (3, 9), "n_steps": (1, math.inf), "m_comb": (1, math.inf),
+    "init_substeps": (1, math.inf), "r": (1, math.inf), "gh_points": (1, MAX_POINTS),
+}
 
 
 @dataclass
@@ -100,10 +111,10 @@ class SolverConfig:
 
     The lattice spacing is always derived, h = Δt^((k+1)/(r+1)), balancing
     the spatial error h^(r+1) against the time error Δt^(k+1).  The implicit
-    Y-update runs to a fixed tolerance and iteration cap (``_PICARD_TOL``,
-    ``_PICARD_MAX``).  ``epsilon0`` is the coupled outer loop's absolute
-    tolerance and ``outer_max`` its pass limit, shared with the ramp's
-    terminal-Z fixed point.
+    Y-update and the coupled outer loop run to fixed tolerances and
+    iteration caps (``_PICARD_TOL``/``_PICARD_MAX``,
+    ``_OUTER_TOL``/``_OUTER_MAX``).  Integer fields are checked when the
+    config is built (:meth:`check_integers`).
     """
 
     k: int
@@ -111,16 +122,11 @@ class SolverConfig:
     m_comb: int = 4
     r: int | None = None
     gh_points: int | None = None
-    epsilon0: float = 1e-12
-    outer_max: int = 200
     init_mode: str = "exact"
     init_substeps: int = 1
 
     def __post_init__(self) -> None:
-        if not 3 <= self.k <= 9:
-            raise ValueError(f"k must be in 3..9, got {self.k}")
-        if self.m_comb < 1:
-            raise ValueError(f"m_comb must be >= 1, got {self.m_comb}")
+        self.check_integers(**{name: getattr(self, name) for name in _INTEGER_RANGES})
         if self.n_steps < self.k + self.m_comb - 1:
             raise ValueError(
                 f"n_steps must be at least k + m_comb - 1 = "
@@ -130,33 +136,25 @@ class SolverConfig:
             raise ValueError(
                 f"init_mode must be 'exact' or 'ramp', got {self.init_mode!r}"
             )
-        if self.init_substeps < 1:
-            raise ValueError(f"init_substeps must be >= 1, got {self.init_substeps}")
-        if self.outer_max < 1:
-            raise ValueError(f"outer_max must be >= 1, got {self.outer_max}")
-        if not self.epsilon0 > 0:
-            raise ValueError(f"epsilon0 must be positive, got {self.epsilon0}")
-        self.check_r_gh_points(self.r, self.gh_points)
 
     @staticmethod
-    def check_r_gh_points(r, gh_points) -> None:
-        """Raise unless ``r`` and ``gh_points`` are None or integers in range.
+    def check_integers(**fields) -> None:
+        """Raise unless each named integer field is an integer in its range.
 
-        ``r`` must be at least 1 and ``gh_points`` in 1..``MAX_POINTS``.  A
-        non-integer raises TypeError, an integer out of range ValueError.
+        ``fields`` maps names of :data:`_INTEGER_RANGES` to values; ``r`` and
+        ``gh_points`` may be None.  A non-integer raises TypeError and an
+        integer out of range ValueError, both naming the field.
         """
-        limits = (("r", r, math.inf), ("gh_points", gh_points, MAX_POINTS))
-        for name, value, high in limits:
-            if value is None:
+        for name, value in fields.items():
+            if value is None and name in ("r", "gh_points"):
                 continue
             try:
                 value = operator.index(value)
             except TypeError:
-                raise TypeError(
-                    f"{name} must be an integer or None, got {value!r}"
-                ) from None
-            if not 1 <= value <= high:
-                raise ValueError(f"{name} must be in 1..{high}, got {value}")
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            low, high = _INTEGER_RANGES[name]
+            if not low <= value <= high:
+                raise ValueError(f"{name} must be in {low}..{high}, got {value}")
 
 
 @dataclass
@@ -332,7 +330,6 @@ def step_coupled(
     rule: TensorRule,
     r: int,
     target: Lattice,
-    cfg: SolverConfig,
 ) -> tuple[ValueLevel, int, int]:
     """Compute level n on the nodes of ``target``, its computed window.
 
@@ -346,9 +343,9 @@ def step_coupled(
     A pass freezes a, b at the current (Y, Z) iterate, starting from the
     level n+1 values, and applies the explicit Z-update and then the implicit
     Y-update.  When a, b ignore (Y, Z) the first pass is the level.  A coupled
-    problem repeats the pass until max(‖ΔY‖∞, ‖ΔZ‖∞) < ``cfg.epsilon0`` and
+    problem repeats the pass until max(‖ΔY‖∞, ‖ΔZ‖∞) < ``_OUTER_TOL`` and
     raises :class:`OuterDivergence`, naming the node that changed most in
-    the last pass, after ``cfg.outer_max`` passes.
+    the last pass, after ``_OUTER_MAX`` passes.
 
     Returns (level on ``target``, Picard iterations of the last pass, outer
     iterations); the outer count is 0 for a decoupled problem, which runs no
@@ -360,7 +357,7 @@ def step_coupled(
     X = target.nodes().reshape(-1, target.dim)
     y_seed = near.y[seed].reshape(-1, near.m)
     y_cur, z_cur = y_seed, near.z[seed].reshape(-1, near.m, near.d)
-    for outer in range(1, cfg.outer_max + 1):
+    for outer in range(1, _OUTER_MAX + 1):
         pairs = conditional_expectations(
             window, X, t_n, dt, problem, y_cur, z_cur, rule, r
         )
@@ -377,14 +374,14 @@ def step_coupled(
         )
         delta = float(np.max(change))
         y_cur, z_cur = y_new, z_new
-        if delta < cfg.epsilon0:
+        if delta < _OUTER_TOL:
             break
     else:
         worst = int(np.argmax(change))
         raise OuterDivergence(
-            f"coupled outer loop did not converge in {cfg.outer_max} iterations "
+            f"coupled outer loop did not converge in {_OUTER_MAX} iterations "
             f"at t = {t_n:.6g}, node x = {X[worst]} "
-            f"(last change {delta:.3e}, tol {cfg.epsilon0:.1e})"
+            f"(last change {delta:.3e}, tol {_OUTER_TOL:.1e})"
         )
     level = ValueLevel(
         lattice=target,
@@ -405,15 +402,16 @@ step_decoupled = step_coupled
 
 
 def _coefficient_bounds(
-    problem: FbsdeProblem, radius: np.ndarray, samples: int = 13, times: int = 9
+    problem: FbsdeProblem, radius: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis sup bounds of |a_i| and ‖b_i·‖₁ over a sampled (t, x) box.
+    """Per-axis sup bounds of |a_i| and ‖b_i·‖₁ over a (t, x) box.
 
-    (Y, Z) arguments come from the closed-form solution when available,
-    otherwise from the terminal data with a 1.5× safety inflation.
+    The box is sampled at 9 times and 13 points per axis; (Y, Z) arguments
+    come from the closed-form solution when available, otherwise from the
+    terminal data with a 1.5× safety inflation.
     """
     axes = [
-        np.linspace(problem.x0[i] - radius[i], problem.x0[i] + radius[i], samples)
+        np.linspace(problem.x0[i] - radius[i], problem.x0[i] + radius[i], 13)
         for i in range(problem.n)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -421,7 +419,7 @@ def _coefficient_bounds(
     a_max = np.zeros(problem.n)
     b_max = np.zeros(problem.n)
     inflate = 1.0 if problem.has_analytic else 1.5
-    for t in np.linspace(0.0, problem.T, times):
+    for t in np.linspace(0.0, problem.T, 9):
         if problem.has_analytic:
             y = np.asarray(problem.analytic_y(t, pts), float)
             z = np.asarray(problem.analytic_z(t, pts), float)
@@ -497,7 +495,7 @@ def _march(
         coeffs = rows[k_eff, m_eff]
         level, piters, oiters = step_coupled(
             window[: len(coeffs) - 1], t_n, dt, problem, coeffs, rule, r,
-            Lattice(origin=origin, h=h, lo=-halfwidth, hi=halfwidth), cfg,
+            Lattice(origin=origin, h=h, lo=-halfwidth, hi=halfwidth),
         )
         window.insert(0, level)
         del window[width:]
@@ -508,12 +506,10 @@ def _march(
 # Initialization
 # ---------------------------------------------------------------------------
 
-def _terminal_z(
-    problem: FbsdeProblem, X: np.ndarray, y_term: np.ndarray, max_iter: int
-) -> np.ndarray:
+def _terminal_z(problem: FbsdeProblem, X: np.ndarray, y_term: np.ndarray) -> np.ndarray:
     """Terminal Z(T, x) = ∇g(x)·b(T, x, g(x), Z) via FD gradient + fixed point.
 
-    Raises :class:`OuterDivergence` after ``max_iter`` passes.
+    Raises :class:`OuterDivergence` after ``_OUTER_MAX`` passes.
     """
     P, n = X.shape
     step = 1e-6
@@ -523,7 +519,7 @@ def _terminal_z(
         e[i] = step
         grad[:, :, i] = (problem.g(X + e) - problem.g(X - e)) / (2.0 * step)
     z = np.zeros((P, problem.m, problem.d))
-    for _ in range(max_iter):
+    for _ in range(_OUTER_MAX):
         b_val = np.asarray(problem.b(problem.T, X, y_term, z), float)
         z_new = np.einsum("pmn,pnd->pmd", grad, b_val)
         change = np.abs(z_new - z)
@@ -532,7 +528,7 @@ def _terminal_z(
         z = z_new
     worst = int(np.argmax(np.max(change.reshape(P, -1), axis=-1)))
     raise OuterDivergence(
-        f"terminal Z fixed point did not converge in {max_iter} "
+        f"terminal Z fixed point did not converge in {_OUTER_MAX} "
         f"iterations at t = {problem.T:.6g}, node x = {X[worst]} "
         f"(last change {float(np.max(change)):.3e}, tol 1.0e-13)"
     )
@@ -545,12 +541,14 @@ def initialize_levels(
     rule: TensorRule,
     r: int,
     fine_hop: np.ndarray,
-) -> list[ValueLevel]:
+) -> tuple[list[ValueLevel], list[tuple[int, int]]]:
     """Fill the top k+m−1 levels (indices n_steps−k−m+2 .. n_steps).
 
-    Returns them nearest level first, the window the main march starts from.
-    ``exact`` mode samples the problem's closed-form (Y, Z) on the full
-    lattice (raising :class:`MissingAnalytic` when there is none).
+    Returns them nearest level first, the window the main march starts from,
+    and the (Picard, outer) iteration counts of each ramp level in marching
+    order (none in exact mode).  ``exact`` mode samples the problem's
+    closed-form (Y, Z) on the full lattice (raising :class:`MissingAnalytic`
+    when there is none).
 
     ``ramp`` mode is self-starting: the terminal level takes Y = g and the
     gradient relation for Z, and the remaining startup levels come from the
@@ -583,14 +581,14 @@ def initialize_levels(
                 y=y.reshape(shape + (problem.m,)),
                 z=z.reshape(shape + (problem.m, problem.d)),
             ))
-        return levels
+        return levels, []
 
     # Self-starting ramp.
     S = cfg.init_substeps
     dt_fine = dt / S
     X = lattice.nodes().reshape(-1, lattice.dim)
     y_term = np.asarray(problem.g(X), float)
-    z_term = _terminal_z(problem, X, y_term, cfg.outer_max)
+    z_term = _terminal_z(problem, X, y_term)
     terminal = ValueLevel(
         lattice=lattice,
         t=problem.T,
@@ -604,10 +602,12 @@ def initialize_levels(
         for i in range(1, (width - 1) * S + 1)
     )
     march = _march(problem, cfg, rule, r, [terminal], fine, dt_fine)
-    for i, (level, _, _) in enumerate(march, 1):
+    counts: list[tuple[int, int]] = []
+    for i, (level, piters, oiters) in enumerate(march, 1):
+        counts.append((piters, oiters))
         if i % S == 0:
             levels.insert(0, level)
-    return levels
+    return levels, counts
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +629,7 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     (k, m_comb) window.  Returns a :class:`SolveResult` with the (m,)-vector
     ``y0`` and the (m, d)-matrix ``z0`` at x0, plus diagnostics: the
     resolved discretization, cone geometry, per-level Picard/outer iteration
-    counts, and wall time.
+    counts of the main march and (``ramp_*``) of the ramp, and wall time.
     """
     start = time.perf_counter()
     k, m_comb = cfg.k, cfg.m_comb
@@ -665,9 +665,9 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     # only at x0.
     halfwidths = [r // 2 + n * hop for n in range(first, 0, -1)]
     halfwidths.append(np.zeros_like(hop))
+    window, ramp = initialize_levels(problem, lattice, cfg, rule, r, fine_hop)
     march = _march(
-        problem, cfg, rule, r,
-        initialize_levels(problem, lattice, cfg, rule, r, fine_hop),
+        problem, cfg, rule, r, window,
         zip((n * dt for n in range(first, -1, -1)), halfwidths), dt,
     )
     picard_per_level: list[int] = []
@@ -691,13 +691,14 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
         "radius": radius.tolist(),
         "coefficient_bounds": {"a_max": a_max.tolist(), "b_max": b_max.tolist()},
         "cone_hop_nodes": hop.tolist(),
-        "active_halfwidth_final": 0,
         "active_halfwidth_first": halfwidths[0].tolist(),
         "levels_marched": first + 1,
         "picard_iterations": picard_per_level,
         "picard_iterations_max": max(picard_per_level, default=0),
         "outer_iterations": outer_per_level,
         "outer_iterations_max": max(outer_per_level, default=0),
+        "ramp_picard_iterations": [piters for piters, _ in ramp],
+        "ramp_outer_iterations": [oiters for _, oiters in ramp if oiters],
         "wall_time_s": time.perf_counter() - start,
     }
     return SolveResult(y0=y0, z0=z0, diagnostics=diagnostics)

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fbsde
 from fbsde.cli import main
 
 
@@ -276,9 +279,12 @@ def test_run_markdown_format(capsys):
 
 
 def test_module_entry_point_subprocess():
+    # The child imports the same package as this process, installed or not.
+    paths = [str(Path(fbsde.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "fbsde.cli", "weights", "--k", "1", "--m", "2"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-1/2 1/2"

@@ -1,10 +1,14 @@
 """Lattice construction and barycentric interpolation."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fbsde.lattice as lattice
 from fbsde.lattice import (
+    MAX_NODES,
     NODE_SNAP_TOL,
     Lattice,
     OutOfDomain,
@@ -39,8 +43,8 @@ def test_build_rounds_outward_but_not_on_exact_multiples():
 
 
 def test_build_node_budget_enforced():
-    with pytest.raises(TooManyNodes):
-        build_lattice(0.0, 1.0, 10.0, max_nodes=5)
+    with pytest.raises(TooManyNodes, match=f"> {MAX_NODES}"):
+        build_lattice(0.0, 1e-9, 1.0)  # 2e9 + 1 nodes: only the shape is computed
     with pytest.raises(TooFewNodes):
         build_lattice(0.0, 1.0, 0.5, r=3)
     build_lattice(0.0, 1.0, 0.5, r=2)  # 3 nodes host a quadratic
@@ -95,8 +99,10 @@ def test_node_queries_return_stored_values_bitwise():
     assert np.array_equal(got, values)
 
 
-def test_gather_matches_per_axis_weighting_bitwise():
+def test_gather_matches_per_axis_weighting_bitwise(monkeypatch):
     # Reference: index each axis separately, weight a fresh copy, sum axis by axis.
+    # A budget of 8 queries' gather splits the 37 queries over 5 blocks.
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * 5**2 * 3 * 8)
     rng = np.random.default_rng(5)
     lat = build_lattice(np.array([0.1, -0.2]), 0.05, np.array([0.6, 0.4]))
     values = rng.uniform(-3, 3, size=lat.shape + (2, 1))
@@ -114,12 +120,33 @@ def test_gather_matches_per_axis_weighting_bitwise():
     want = values[tuple(idx)]
     for w in weights:
         want = np.sum(want * w.reshape(w.shape + (1,) * (want.ndim - 2)), axis=1)
-    got = interpolate_values(lat, values, queries, r, chunk=8)
+    got = interpolate_values(lat, values, queries, r)
     assert np.array_equal(got, want)
     ints = np.round(values * 100).astype(int)
-    got_int = interpolate_values(lat, ints, queries, r, chunk=8)
+    got_int = interpolate_values(lat, ints, queries, r)
     want_int = interpolate_values(lat, ints.astype(float), queries, r).astype(int)
     assert np.array_equal(got_int, want_int)
+
+
+def test_interpolation_memory_is_bounded_by_the_block_budget():
+    """A 2-D r = 10 gather over 20,000 queries stays near one block in memory.
+
+    Unblocked, the gather alone would take 20,000 × 121 × 3 × 8 B ≈ 58 MB.
+    """
+    rng = np.random.default_rng(3)
+    lat = build_lattice([0.0, 0.0], 0.05, 1.0, r=10)
+    values = rng.uniform(-1, 1, size=lat.shape + (2,))
+    queries = rng.uniform(-0.9, 0.9, size=(20_000, 2))
+    tracemalloc.start()
+    try:
+        out = interpolate_values(lat, values, queries, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (20_000, 2)
+    # One block's gather and indices, the summed block, and the per-query
+    # coordinates, overhangs and output (a few times queries.nbytes).
+    assert peak < 1.5 * lattice._BLOCK_BYTES + 8 * queries.nbytes
 
 
 def test_stencil_tie_goes_to_lower_start():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import fbsde.lattice
 import fbsde.stepper as stepper
 from fbsde.hermite import MAX_POINTS, gauss_hermite_tensor
 from fbsde.lattice import OutOfDomain, ValueLevel, build_lattice
@@ -81,11 +82,11 @@ def _window(lattice, times, yfun):
         dict(k=3, n_steps=16, m_comb=0),
         dict(k=3, n_steps=16, init_mode="bogus"),
         dict(k=3, n_steps=16, init_substeps=0),
-        dict(k=3, n_steps=16, outer_max=0),
-        dict(k=3, n_steps=16, epsilon0=-1e-12),
         dict(k=3, n_steps=16, r=0),
         dict(k=3, n_steps=16, gh_points=0),
         dict(k=3, n_steps=16, gh_points=MAX_POINTS + 1),
+        dict(k=5, n_steps=8, m_comb=5),  # below k + m_comb - 1 = 9
+        dict(k=3, n_steps=-16),
     ],
 )
 def test_config_validation(kwargs):
@@ -95,12 +96,20 @@ def test_config_validation(kwargs):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(r="12"), dict(r=3.5), dict(gh_points=8.0)],
-    ids=["r-string", "r-float", "gh_points-float"],
+    [
+        dict(r="12"), dict(r=3.5), dict(gh_points=8.0), dict(k=3.0),
+        dict(n_steps=16.0), dict(m_comb=4.0), dict(init_substeps=2.0),
+    ],
+    ids=[
+        "r-string", "r-float", "gh_points-float", "k-float",
+        "n_steps-float", "m_comb-float", "init_substeps-float",
+    ],
 )
 def test_config_rejects_non_integer_r_and_gh_points(kwargs):
-    with pytest.raises(TypeError, match="must be an integer or None"):
-        SolverConfig(k=3, n_steps=16, **kwargs)
+    """Every integer field is type-checked when the config is built."""
+    (name, _), = kwargs.items()
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        SolverConfig(**{"k": 3, "n_steps": 16, **kwargs})
 
 
 def test_config_accepts_minimum_steps():
@@ -317,10 +326,11 @@ def test_terminal_z_divergence_is_reported():
     assert "last change" in message
 
 
-def test_outer_divergence_names_worst_node():
+def test_outer_divergence_names_worst_node(monkeypatch):
     """The coupled outer loop reports where it stopped converging."""
+    monkeypatch.setattr(stepper, "_OUTER_MAX", 2)
     with pytest.raises(OuterDivergence) as err:
-        solve(get_problem("example2"), SolverConfig(k=3, n_steps=6, outer_max=2))
+        solve(get_problem("example2"), SolverConfig(k=3, n_steps=6))
     message = str(err.value)
     assert "coupled outer loop" in message
     assert "in 2 iterations" in message
@@ -417,17 +427,31 @@ def test_solver_is_deterministic():
     assert np.array_equal(first.z0, second.z0)
 
 
+def test_interpolation_block_size_never_changes_a_solve(monkeypatch):
+    """A 2-D solve is bit-identical with far smaller interpolation blocks.
+
+    97 queries per block instead of about 720 splits every span read into
+    many blocks, the last one ragged.
+    """
+    problem = get_problem("example3")
+    cfg = SolverConfig(k=3, n_steps=7)
+    y0, z0, _ = solve(problem, cfg)
+    monkeypatch.setattr(fbsde.lattice, "_BLOCK_BYTES", 97 * 11**2 * (2 + 1) * 8)
+    y1, z1, _ = solve(problem, cfg)
+    assert np.array_equal(y0, y1) and np.array_equal(z0, z1)
+
+
 def test_coupled_ramp_converges_at_default_tolerance():
     """The ramp window holds no far-out nodes whose outer loop stalls.
 
     Nodes far from x0 can leave the outer loop's change just above the
-    absolute ``epsilon0``; hops of the quadrature reach keep this solve's
-    windows narrow enough to converge at the default.
+    absolute ``_OUTER_TOL``; hops of the quadrature reach keep this solve's
+    windows narrow enough to converge at it.
     """
     problem = get_problem("example2")
     cfg = SolverConfig(k=5, n_steps=8, init_mode="ramp", init_substeps=8)
     y0, z0, _ = solve(problem, cfg)
-    assert cfg.epsilon0 == 1e-12
+    assert stepper._OUTER_TOL == 1e-12
     assert abs(y0[0] - problem.analytic_y(0.0, problem.x0)[0]) < 1e-4
     assert abs(z0[0, 0] - problem.analytic_z(0.0, problem.x0)[0, 0]) < 1e-4
 
@@ -462,9 +486,9 @@ def test_diagnostics_inventory():
     for key in (
         "problem", "config", "dt", "h", "r", "gh_points", "lattice_shape",
         "num_nodes", "radius", "coefficient_bounds", "cone_hop_nodes",
-        "active_halfwidth_final", "active_halfwidth_first", "levels_marched",
-        "picard_iterations", "picard_iterations_max", "outer_iterations",
-        "outer_iterations_max", "wall_time_s",
+        "active_halfwidth_first", "levels_marched", "picard_iterations",
+        "picard_iterations_max", "outer_iterations", "outer_iterations_max",
+        "ramp_picard_iterations", "ramp_outer_iterations", "wall_time_s",
     ):
         assert key in diag, key
     assert diag["problem"] == "example1"
@@ -477,3 +501,30 @@ def test_diagnostics_inventory():
     assert all(n % 2 == 1 for n in diag["lattice_shape"])  # centered lattice
     assert diag["wall_time_s"] > 0
     assert diag["config"]["k"] == 3
+    assert diag["ramp_picard_iterations"] == diag["ramp_outer_iterations"] == []
+
+
+def test_ramp_levels_are_reported(monkeypatch):
+    """A ramp solve reports every fine level, apart from the main march.
+
+    k = 3, m_comb = 4 and S = 2 march (k + m_comb − 2)·S = 10 ramp levels
+    before the one main-march level of n_steps = 6.
+    """
+    ramp_steps = []
+    step = stepper.step_coupled
+
+    def recording_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        ramp_steps.append(out[1:])
+        return out
+
+    monkeypatch.setattr(stepper, "step_coupled", recording_step)
+    cfg = SolverConfig(k=3, n_steps=6, init_mode="ramp", init_substeps=2)
+    diag = solve(get_problem("example2"), cfg).diagnostics
+    main = ramp_steps.pop()
+    assert len(ramp_steps) == 10
+    assert diag["ramp_picard_iterations"] == [p for p, _ in ramp_steps]
+    assert diag["ramp_outer_iterations"] == [o for _, o in ramp_steps]
+    assert all(o >= 1 for _, o in ramp_steps)
+    assert diag["picard_iterations"] == [main[0]]
+    assert diag["outer_iterations"] == [main[1]]
