@@ -61,6 +61,11 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.problem, str):
             raise TypeError(f"problem must be a registry key, got {self.problem!r}")
+        # operator.index(True) is 1, so booleans are rejected by name first.
+        for name, value in (("ks", self.ks), ("n_steps", self.n_steps), ("m_comb", self.m_comb)):
+            values = value if isinstance(value, (list, tuple)) else (value,)
+            if any(isinstance(v, bool) for v in values):
+                raise TypeError(f"{name}: booleans are not integers, got {value!r}")
         try:
             ks, ns = (tuple(map(operator.index, v)) for v in (self.ks, self.n_steps))
             m_comb = operator.index(self.m_comb)

@@ -14,8 +14,12 @@ computed from a window of k+m−1 already-sealed future levels:
 
 One step function computes a level.  With a, b ignoring (Y, Z) a single
 frozen-coefficient pass is the level; a coupled problem repeats the pass in an
-outer fixed-point loop that refreshes the frozen forward coefficients.  One
-march loop calls it, both for the self-starting ramp and for the main march.
+outer fixed-point loop that refreshes the frozen forward coefficients.  Each
+node's (Y, Z) is its own fixed point there, since the frozen a, b at a node
+read only that node's iterate, so the loop takes a depth-1 Anderson step per
+node and stops once every component's change is small relative to its value.
+One march loop calls the step, both for the self-starting ramp and for the
+main march.
 All reductions run in a fixed order with compensated summation, so repeated
 runs are bit-identical.
 
@@ -83,9 +87,9 @@ class OuterDivergence(RuntimeError):
 
 
 #: Tolerances and iteration caps of the Picard iteration that solves each
-#: pass's implicit Y-update (absolute, plus relative in the same factor) and
-#: of the coupled outer loop (absolute; the cap also bounds the ramp's
-#: terminal-Z fixed point).
+#: pass's implicit Y-update and of the coupled outer loop (both absolute plus
+#: relative in the same factor, |Δ| ≤ tol·(1 + |new value|); the outer cap
+#: also bounds the ramp's terminal-Z fixed point).
 _PICARD_TOL = 1e-14
 _PICARD_MAX = 100
 _OUTER_TOL = 1e-12
@@ -143,12 +147,15 @@ class SolverConfig:
 
         ``fields`` maps names of :data:`_INTEGER_RANGES` to values; ``r`` and
         ``gh_points`` may be None.  A non-integer raises TypeError and an
-        integer out of range ValueError, both naming the field.
+        integer out of range ValueError, both naming the field.  Booleans are
+        not integers here, though ``operator.index(True)`` is 1.
         """
         for name, value in fields.items():
             if value is None and name in ("r", "gh_points"):
                 continue
             try:
+                if isinstance(value, bool):
+                    raise TypeError
                 value = operator.index(value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
@@ -321,6 +328,25 @@ def y_update(
 # ---------------------------------------------------------------------------
 
 
+def _anderson_step(
+    g: np.ndarray, f: np.ndarray, g_prev: np.ndarray, f_prev: np.ndarray
+) -> np.ndarray:
+    """Depth-1 Anderson iterate of a fixed point x = G(x), one per row.
+
+    ``g`` = G(x_k) and ``f`` = g − x_k are the current pass's image and
+    residual, ``g_prev``, ``f_prev`` the previous pass's; every row is its own
+    problem, shape (P, unknowns).  The next iterate is g − γ·(g − g_prev) with
+    γ = ⟨f − f_prev, f⟩ / ‖f − f_prev‖² per row, the secant step that
+    minimizes the linearized residual (Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011); a row whose residual did not change takes the plain step g.
+    """
+    df = f - f_prev
+    num = np.sum(df * f, axis=1)
+    den = np.sum(df * df, axis=1)
+    gamma = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return g - gamma[:, None] * (g - g_prev)
+
+
 def step_coupled(
     window: Sequence[ValueLevel],
     t_n: float,
@@ -340,12 +366,17 @@ def step_coupled(
     level they read; the march sizes the windows so this holds, and the read
     raises :class:`~fbsde.lattice.OutOfDomain` if not.
 
-    A pass freezes a, b at the current (Y, Z) iterate, starting from the
+    A pass freezes a, b at the current (Y, Z) iterate x_k, starting from the
     level n+1 values, and applies the explicit Z-update and then the implicit
-    Y-update.  When a, b ignore (Y, Z) the first pass is the level.  A coupled
-    problem repeats the pass until max(‖ΔY‖∞, ‖ΔZ‖∞) < ``_OUTER_TOL`` and
-    raises :class:`OuterDivergence`, naming the node that changed most in
-    the last pass, after ``_OUTER_MAX`` passes.
+    Y-update (seeded from level n+1 every pass), giving g_k = G(x_k).  When
+    a, b ignore (Y, Z) the first pass is the level.  A coupled problem
+    repeats the pass until every component of every node changes by at most
+    ``_OUTER_TOL``·(1 + |g_k|) between x_k and g_k, and returns that g_k.
+    The next iterate is the plain g_1 after the first pass and the per-node
+    depth-1 Anderson step of :func:`_anderson_step` after later ones; on
+    ``example2`` this cuts about 31 passes per level to 6.  After
+    ``_OUTER_MAX`` passes it raises :class:`OuterDivergence`, naming the
+    node with the largest relative change in the last pass.
 
     Returns (level on ``target``, Picard iterations of the last pass, outer
     iterations); the outer count is 0 for a decoupled problem, which runs no
@@ -355,8 +386,10 @@ def step_coupled(
     offset = target.lo - near.lattice.lo
     seed = tuple(slice(int(o), int(o) + n) for o, n in zip(offset, target.shape))
     X = target.nodes().reshape(-1, target.dim)
+    P = X.shape[0]
     y_seed = near.y[seed].reshape(-1, near.m)
     y_cur, z_cur = y_seed, near.z[seed].reshape(-1, near.m, near.d)
+    g_prev = f_prev = None
     for outer in range(1, _OUTER_MAX + 1):
         pairs = conditional_expectations(
             window, X, t_n, dt, problem, y_cur, z_cur, rule, r
@@ -368,20 +401,23 @@ def step_coupled(
         y_new, iters = y_update(rhs, coeffs[0], dt, t_n, X, z_new, problem.f, y_seed)
         if not problem.coupled:
             break
-        change = np.maximum(
-            np.max(np.abs(y_new - y_cur), axis=-1),
-            np.max(np.abs(z_new - z_cur), axis=(-2, -1)),
-        )
-        delta = float(np.max(change))
-        y_cur, z_cur = y_new, z_new
-        if delta < _OUTER_TOL:
+        # Each node's (Y, Z) image g and residual f; the test is y_update's,
+        # every component's change relative to its new value.
+        g = np.concatenate([y_new, z_new.reshape(P, -1)], axis=1)
+        f = g - np.concatenate([y_cur, z_cur.reshape(P, -1)], axis=1)
+        change = np.max(np.abs(f) / (1.0 + np.abs(g)), axis=1)
+        if np.all(change <= _OUTER_TOL):
             break
+        x_next = g if g_prev is None else _anderson_step(g, f, g_prev, f_prev)
+        g_prev, f_prev = g, f
+        y_cur = x_next[:, : near.m]
+        z_cur = x_next[:, near.m :].reshape(P, near.m, near.d)
     else:
         worst = int(np.argmax(change))
         raise OuterDivergence(
             f"coupled outer loop did not converge in {_OUTER_MAX} iterations "
             f"at t = {t_n:.6g}, node x = {X[worst]} "
-            f"(last change {delta:.3e}, tol {_OUTER_TOL:.1e})"
+            f"(last change {float(change[worst]):.3e} relative, tol {_OUTER_TOL:.1e})"
         )
     level = ValueLevel(
         lattice=target,

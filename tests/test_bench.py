@@ -63,6 +63,10 @@ def test_spec_validation():
         ExperimentSpec(problem="example1", ks=3)
     with pytest.raises(TypeError, match="m_comb"):
         ExperimentSpec(problem="example1", m_comb="4")
+    with pytest.raises(TypeError, match="m_comb: booleans are not integers"):
+        ExperimentSpec(problem="example1", m_comb=True)
+    with pytest.raises(TypeError, match="n_steps: booleans are not integers"):
+        ExperimentSpec(problem="example1", n_steps=(8, False))
     with pytest.raises(TypeError, match="r must be an integer"):
         ExperimentSpec(problem="example1", r=3.5)
     with pytest.raises(ValueError, match="gh_points must be in"):

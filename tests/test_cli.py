@@ -247,11 +247,12 @@ def test_run_config_unreadable(capsys):
         {"problem": "example1", "nt": [8], "r": 3.5},
         {"problem": "example1", "nt": [8], "r": 0},
         {"problem": "example1", "nt": [8], "gh_points": 0},
+        {"problem": "example1", "nt": [8], "m_comb": True},
     ],
     ids=[
         "k-not-integers", "k-not-a-list", "m_comb-string", "problem-not-a-string",
         "bad-format", "not-an-object", "r-string", "r-float", "r-zero",
-        "gh_points-zero",
+        "gh_points-zero", "m_comb-bool",
     ],
 )
 def test_run_config_wrong_value_is_clean_error(tmp_path, capsys, settings):

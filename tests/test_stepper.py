@@ -99,10 +99,12 @@ def test_config_validation(kwargs):
     [
         dict(r="12"), dict(r=3.5), dict(gh_points=8.0), dict(k=3.0),
         dict(n_steps=16.0), dict(m_comb=4.0), dict(init_substeps=2.0),
+        dict(m_comb=True), dict(init_substeps=True),
     ],
     ids=[
         "r-string", "r-float", "gh_points-float", "k-float",
         "n_steps-float", "m_comb-float", "init_substeps-float",
+        "m_comb-bool", "init_substeps-bool",
     ],
 )
 def test_config_rejects_non_integer_r_and_gh_points(kwargs):
@@ -338,6 +340,77 @@ def test_outer_divergence_names_worst_node(monkeypatch):
     assert "last change" in message
 
 
+def test_anderson_step_is_plain_where_the_residual_did_not_change():
+    """The secant step mixes in the previous image; γ = 0 where f − f_prev = 0."""
+    g = np.array([[2.0, 1.0], [3.0, -1.0]])
+    f = np.array([[0.5, 0.25], [1.0, 2.0]])
+    g_prev = np.array([[1.0, 0.0], [5.0, 7.0]])
+    f_prev = np.array([[1.0, 0.25], [1.0, 2.0]])  # row 1: no change in f
+    x_next = stepper._anderson_step(g, f, g_prev, f_prev)
+    # Row 0: df = (−0.5, 0), γ = ⟨df, f⟩/‖df‖² = −0.25/0.25 = −1.
+    assert np.array_equal(x_next[0], g[0] + (g[0] - g_prev[0]))
+    assert np.array_equal(x_next[1], g[1])
+
+
+def test_anderson_step_solves_a_linear_scalar_fixed_point_in_one_step():
+    """For a linear scalar map the secant step lands on the fixed point."""
+    G = lambda x: 0.5 * x + 1.0  # fixed point 2
+    x0 = np.array([[0.0]])
+    g0 = G(x0)
+    x1 = g0
+    g1 = G(x1)
+    x2 = stepper._anderson_step(g1, g1 - x1, g0, g0 - x0)
+    assert np.allclose(x2, 2.0, rtol=0.0, atol=1e-15)
+
+
+def test_coupled_outer_loop_takes_few_passes_per_level():
+    """Anderson(1) acceleration: example2 averages at most 8 passes per level.
+
+    The plain outer fixed point contracts by only about ½ per pass there
+    (dZ/dz = ½·cos²(t+x) through b), about 30 passes per level.
+    """
+    _, _, diag = solve(get_problem("example2"), SolverConfig(k=5, n_steps=16))
+    passes = diag["outer_iterations"]
+    assert len(passes) == diag["levels_marched"]
+    assert sum(passes) / len(passes) <= 8
+
+
+def test_coupled_solve_matches_the_plain_outer_loop():
+    """The accelerated outer loop converges to the plain loop's answer.
+
+    The reference values are example2 at k=5, n_steps=32 from the
+    unaccelerated loop with the absolute 1e-12 tolerance.
+    """
+    y0, z0, _ = solve(get_problem("example2"), SolverConfig(k=5, n_steps=32))
+    assert abs(y0[0] - 0.9974949903014719) <= 1e-12
+    assert abs(z0[0, 0] - 0.005003746440242434) <= 1e-12
+
+
+def test_outer_tolerance_is_relative_to_the_iterate():
+    """A coupled problem scaled by 1e5 converges to the scaled answer.
+
+    With (Y, Z) of order 1e5, rounding alone leaves changes of about 1e-10
+    per pass, so an absolute 1e-12 test could never be met.
+    """
+    base = get_problem("example2")
+    c = 1e5
+    scaled = dataclasses.replace(
+        base,
+        name="example2-scaled",
+        a=lambda t, x, y, z: base.a(t, x, y / c, z / c),
+        b=lambda t, x, y, z: base.b(t, x, y / c, z / c),
+        f=lambda t, x, y, z: c * base.f(t, x, y / c, z / c),
+        g=lambda x: c * base.g(x),
+        analytic_y=lambda t, x: c * base.analytic_y(t, x),
+        analytic_z=lambda t, x: c * base.analytic_z(t, x),
+    )
+    cfg = SolverConfig(k=3, n_steps=8)
+    y0, _, _ = solve(base, cfg)
+    ys, _, _ = solve(scaled, cfg)
+    assert stepper._OUTER_TOL == 1e-12
+    assert abs(ys[0] / c - y0[0]) <= 1e-9
+
+
 def test_undersized_query_cone_is_reported():
     """A drift spike the coefficient sampling misses must not be read past.
 
@@ -442,11 +515,11 @@ def test_interpolation_block_size_never_changes_a_solve(monkeypatch):
 
 
 def test_coupled_ramp_converges_at_default_tolerance():
-    """The ramp window holds no far-out nodes whose outer loop stalls.
+    """The ramp's outer loops converge at the default tolerance.
 
-    Nodes far from x0 can leave the outer loop's change just above the
-    absolute ``_OUTER_TOL``; hops of the quadrature reach keep this solve's
-    windows narrow enough to converge at it.
+    Nodes far from x0 bring the loop's rounding floor near an absolute
+    1e-12; the test is relative to the iterate, and hops of the quadrature
+    reach keep this solve's windows narrow.
     """
     problem = get_problem("example2")
     cfg = SolverConfig(k=5, n_steps=8, init_mode="ramp", init_substeps=8)
