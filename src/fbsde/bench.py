@@ -42,12 +42,12 @@ __all__ = [
 class ExperimentSpec:
     """A (k, n_steps) sweep over one named problem.
 
-    ``m_comb``, ``r``, ``gh_points`` and ``init_mode`` go to every cell's
-    :class:`~fbsde.stepper.SolverConfig` unchanged and default to its
-    values; ``None`` leaves ``r`` and ``gh_points`` for the solver to derive.
-    ``r`` and ``gh_points`` are checked up front with
-    :meth:`~fbsde.stepper.SolverConfig.check_integers`, so a bad value
-    stops the sweep before any cell runs.
+    ``m_comb``, ``r``, ``gh_points``, ``init_mode`` and ``init_substeps`` go
+    to every cell's :class:`~fbsde.stepper.SolverConfig` unchanged and
+    default to its values; ``None`` leaves ``r`` and ``gh_points`` for the
+    solver to derive.  ``r``, ``gh_points`` and ``init_substeps`` are checked
+    up front with :meth:`~fbsde.stepper.SolverConfig.check_integers`, so a
+    bad value stops the sweep before any cell runs.
     """
 
     problem: str
@@ -57,6 +57,7 @@ class ExperimentSpec:
     r: int | None = None
     gh_points: int | None = None
     init_mode: str = SolverConfig.init_mode
+    init_substeps: int = SolverConfig.init_substeps
 
     def __post_init__(self) -> None:
         if not isinstance(self.problem, str):
@@ -81,7 +82,9 @@ class ExperimentSpec:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"{name} repeats {repeated}; list each value once")
-        SolverConfig.check_integers(r=self.r, gh_points=self.gh_points)
+        SolverConfig.check_integers(
+            r=self.r, gh_points=self.gh_points, init_substeps=self.init_substeps
+        )
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "n_steps", ns)
         object.__setattr__(self, "m_comb", m_comb)
@@ -258,6 +261,7 @@ def run_experiment(
         "r": spec.r,
         "gh_points": spec.gh_points,
         "init_mode": spec.init_mode,
+        "init_substeps": spec.init_substeps,
     }
 
     results: list[CellResult] = []

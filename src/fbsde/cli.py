@@ -109,6 +109,7 @@ _RUN_FIELDS = {
     "r": "r",
     "gh_points": "gh_points",
     "init_mode": "init_mode",
+    "init_substeps": "init_substeps",
 }
 
 
@@ -191,6 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="quadrature nodes per Brownian axis")
     p_run.add_argument("--init-mode", dest="init_mode",
                        choices=["exact", "ramp"], default=None)
+    p_run.add_argument("--init-substeps", dest="init_substeps", type=int, default=None,
+                       help="ramp substeps S per time step "
+                            f"(default {ExperimentSpec.init_substeps})")
     p_run.add_argument("--config", help="JSON file with run settings (flags override)")
     p_run.add_argument("--budget-seconds", dest="budget_seconds", type=float,
                        default=None,

@@ -8,8 +8,16 @@ it raises :class:`OutOfDomain`, so values are never extrapolated.  Near the
 hull the stencil becomes one-sided: it is clipped to the r+1 nodes nearest
 the query inside [lo, hi], so it reads stored values only.  The
 evaluation uses the second barycentric formula with the exact uniform-grid
-weights (-1)^i·C(r, i), which reproduces polynomials of degree ≤ r up to
-rounding and returns stored values bit-exactly when the query hits a node.
+weights (-1)^i·C(r, i) (Berrut & Trefethen, SIAM Review 46, 2004), which
+reproduces polynomials of degree ≤ r up to rounding and returns stored
+values bit-exactly when the query hits a node.
+
+The kernel is stencil-major: stencil weights, gather indices and gathered
+values are laid out with the stencil index outermost and the queries
+innermost, (r+1,)*dim + (queries,) + value shape.  Every array operation then
+runs over many queries contiguously rather than over one short stencil row
+at a time, and each sum over a stencil's r+1 entries adds them in index
+order, one contiguous slab of queries per entry.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ MAX_NODES = 100_000_000
 
 #: Bytes of stencil values and node indices that one block of queries in
 #: `interpolate_values` gathers; memory stays flat however many queries come.
+#: `fbsde.stepper.conditional_expectations` groups its spans' quadrature
+#: terms by the same budget.
 _BLOCK_BYTES = 2 * 2**20
 
 #: Queries within this fraction of h of a node snap to the stored value, and
@@ -147,34 +157,39 @@ class ValueLevel:
 
 
 @functools.cache
-def _stencil_constants(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only barycentric weights (-1)^i·C(r, i) and offsets 0..r."""
-    weights = np.array([(-1) ** i * math.comb(r, i) for i in range(r + 1)], dtype=float)
-    offsets = np.arange(r + 1)
-    weights.flags.writeable = offsets.flags.writeable = False
-    return weights, offsets
+def _stencil_constants(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only barycentric weights (-1)^i·C(r, i), float offsets 0..r and
+    integer offsets 0..r, each an (r+1, 1) column for the stencil-major layout."""
+    weights = np.array([[(-1) ** i * math.comb(r, i)] for i in range(r + 1)], dtype=float)
+    offsets = np.arange(r + 1)[:, None]
+    float_offsets = offsets.astype(float)
+    for a in (weights, float_offsets, offsets):
+        a.flags.writeable = False
+    return weights, float_offsets, offsets
 
 
 def _axis_stencil(u: np.ndarray, r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stencil starts and normalized barycentric weights along one axis.
+    """Stencil starts (q,) and normalized barycentric weights (r+1, q) along one axis.
 
     ``u`` is the query in absolute index coordinates.  The stencil is the run
     of r+1 indices nearest u (exact midway ties go to the lower start),
-    clipped into [lo, hi], so near the hull it is one-sided.  Node-coincident
-    queries return one-hot weights.
+    clipped into [lo, hi], so near the hull it is one-sided.  The weights are
+    stencil-major, stencil index outermost, so every operation on them runs
+    over the queries contiguously and the normalizing sum adds the r+1
+    entries in index order.  A query within ``NODE_SNAP_TOL`` of its nearest
+    stencil node is a hit and gets one-hot weights.
     """
-    bary, offsets = _stencil_constants(r)
+    bary, offsets, _ = _stencil_constants(r)
     starts = np.ceil(u - r / 2.0 - 0.5).astype(int)
     np.clip(starts, lo, hi - r, out=starts)
     local = u - starts
-    dist = local[:, None] - offsets[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = bary / dist
-    hits = np.abs(dist) < NODE_SNAP_TOL
-    hit_rows = hits.any(axis=1)
-    if np.any(hit_rows):
-        w[hit_rows] = hits[hit_rows].astype(float)
-    w /= np.sum(w, axis=1, keepdims=True)
+        w = bary / (local - offsets)
+    nearest = np.rint(local)
+    hit = np.abs(local - nearest) < NODE_SNAP_TOL
+    if np.any(hit):
+        w[:, hit] = offsets == nearest[hit]
+    w /= np.sum(w, axis=0)
     return starts, w
 
 
@@ -228,28 +243,30 @@ def interpolate_values(
     # single-index take is several times faster than a per-axis fancy index,
     # and the gathered block is then weighted in place.  The arithmetic, and
     # so every bit of the result, is the same as weighting a fresh copy.
+    # Index, block and weights are stencil-major, shape (r+1,)*dim + (q,) +
+    # rest, so each axis's weighted sum adds contiguous slabs in index order.
     flat = values.reshape((-1,) + rest)
     dtype = np.result_type(values.dtype, np.float64)
-    offsets = _stencil_constants(r)[1]
+    offsets = _stencil_constants(r)[2]
     per_query = (r + 1) ** dim * (math.prod(rest) + 1) * 8
     rows = max(1, _BLOCK_BYTES // per_query)
+    tail = (1,) * len(rest)
     for begin in range(0, u_all.shape[0], rows):
         u = u_all[begin : begin + rows]
         q = u.shape[0]
-        node = np.zeros((q,) + (1,) * dim, dtype=np.intp)
+        node = np.zeros((1,) * dim + (q,), dtype=np.intp)
         weights = []
         for ax in range(dim):
             starts, w = _axis_stencil(u[:, ax], r, int(lattice.lo[ax]), int(lattice.hi[ax]))
-            shape = [q] + [1] * dim
-            shape[1 + ax] = r + 1
+            shape = [1] * dim + [q]
+            shape[ax] = r + 1
             node = node * lattice.shape[ax] + (
-                starts[:, None] - int(lattice.lo[ax]) + offsets
+                starts - int(lattice.lo[ax]) + offsets
             ).reshape(shape)
-            weights.append(w)
+            weights.append(w.reshape((r + 1,) + (1,) * (dim - 1 - ax) + (q,) + tail))
         block = np.take(flat, node, axis=0).astype(dtype, copy=False)
-        for ax in range(dim):
-            wshape = (q, r + 1) + (1,) * (block.ndim - 2)
-            block *= weights[ax].reshape(wshape)
-            block = np.sum(block, axis=1)
+        for w in weights:
+            block *= w
+            block = np.sum(block, axis=0)
         out[begin : begin + rows] = block
     return out

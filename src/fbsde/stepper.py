@@ -48,6 +48,7 @@ import numpy as np
 
 from .fdweights import solve_weights
 from .hermite import MAX_POINTS, TensorRule, gauss_hermite_tensor, kahan_sum
+from . import lattice as _lattice
 from .lattice import (
     Lattice,
     OutOfDomain,
@@ -204,14 +205,16 @@ def euler_points(
 
     Returns
     -------
-    nodes : (P, Q, n) integration points in state space
+    nodes : (Q, P, n) integration points in state space, quadrature index
+        outermost, so the values read at them come out in the layout the
+        quadrature sums take
     dw : (Q, d) the Brownian increments √(2jΔt)·q, shared by every base point
     """
     if j < 1:
         raise ValueError(f"span j must be >= 1, got {j}")
     dw = math.sqrt(2.0 * j * dt) * q
     drifted = x + a_val * (j * dt)
-    nodes = drifted[..., None, :] + np.einsum("...nd,qd->...qn", b_val, dw)
+    nodes = drifted + np.einsum("pnd,qd->qpn", b_val, dw)
     return nodes, dw
 
 
@@ -233,9 +236,14 @@ def conditional_expectations(
     for all spans; decoupled problems accept y = z = None.  The interpolated
     level values at the quadrature nodes are computed once per (x, j, q) and
     reused by both moments.  Quadrature sums are compensated and run in fixed
-    (j, q) order.  A quadrature point outside the lattice of the level it
-    reads raises :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span,
-    the level's t, the axis and the overhang in nodes.
+    q order.  The terms are laid out quadrature index outermost, (Q, spans,
+    P, m, 1+d) with both moments side by side, and the spans are summed in
+    groups whose terms fit in ``lattice._BLOCK_BYTES`` (one span at least):
+    one :func:`~fbsde.hermite.kahan_sum` per group over contiguous slabs.
+    Each sum is elementwise, so the grouping never changes a bit.  A
+    quadrature point outside the lattice of the level it reads raises
+    :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the level's t,
+    the axis and the overhang in nodes.
 
     Parameters
     ----------
@@ -251,22 +259,36 @@ def conditional_expectations(
     a_val = np.asarray(problem.a(t_n, x, y, z), float)
     b_val = np.asarray(problem.b(t_n, x, y, z), float)
     q, w = rule.points()
+    Q, d = q.shape
+    span_bytes = Q * P * m * (1 + d) * 8
+    group = max(1, _lattice._BLOCK_BYTES // span_bytes)
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    for j, level in enumerate(window, 1):
-        nodes, dw = euler_points(x, a_val, b_val, q, j, dt)
-        flat = nodes.reshape(-1, level.lattice.dim)
-        try:
-            vals = interpolate_values(level.lattice, level.y, flat, r)
-        except OutOfDomain as err:
-            raise OutOfDomain(
-                f"query cone too small at t = {t_n:.6g}, span j={j}, reading "
-                f"level t = {level.t:.6g}: {err}"
-            ) from err
-        weighted = vals.reshape(P, -1, m) * w[None, :, None]
-        ey = norm * kahan_sum(np.moveaxis(weighted, 1, 0))
-        prod = weighted[..., None] * dw[None, :, None, :]
-        eyw = norm * kahan_sum(np.moveaxis(prod, 1, 0))
-        out.append((ey, eyw))
+    for first in range(0, len(window), group):
+        spans = window[first : first + group]
+        terms = None
+        for s, level in enumerate(spans):
+            j = first + s + 1
+            nodes, dw = euler_points(x, a_val, b_val, q, j, dt)
+            flat = nodes.reshape(-1, level.lattice.dim)
+            try:
+                vals = interpolate_values(level.lattice, level.y, flat, r)
+            except OutOfDomain as err:
+                raise OutOfDomain(
+                    f"query cone too small at t = {t_n:.6g}, span j={j}, reading "
+                    f"level t = {level.t:.6g}: {err}"
+                ) from err
+            if terms is None:  # after the first read, so its block is freed
+                terms = np.empty((Q, len(spans), P, m, 1 + d))
+            weighted = np.multiply(
+                vals.reshape(Q, P, m), w[:, None, None], out=terms[:, s, :, :, 0]
+            )
+            np.multiply(
+                weighted[..., None], dw[:, None, None, :], out=terms[:, s, :, :, 1:]
+            )
+        sums = kahan_sum(terms)
+        out.extend(
+            (norm * sums[s, ..., 0], norm * sums[s, ..., 1:]) for s in range(len(spans))
+        )
     return out
 
 
@@ -298,11 +320,13 @@ def y_update(
     """Solve the implicit relation c0·Y + rhs + Δt·f(t_n, x, Y, Z) = 0 by Picard.
 
     ``rhs`` is the already-weighted sum Σ_{j≥1} c_j·E[Y^{n+j}], shape (P, m).
-    Iterates Y ← −(rhs + Δt·f)/c0 from ``y_seed`` until the update falls below
-    ``_PICARD_TOL`` (absolute, plus relative in the same factor) at every
-    point, and raises :class:`PicardDivergence` after ``_PICARD_MAX``
-    iterations.  When f is constant in Y the first evaluation already lands
-    on the fixed point and the second merely confirms it.
+    Iterates Y ← −(rhs + Δt·f)/c0 from ``y_seed`` and returns the first
+    iterate whose update falls below ``_PICARD_TOL`` (absolute, plus relative
+    in the same factor) at every point, so a seed that already solves the
+    relation comes back unchanged; raises :class:`PicardDivergence` after
+    ``_PICARD_MAX`` iterations.  When f is constant in Y the first
+    evaluation already lands on the fixed point and the second merely
+    confirms it.
 
     Returns (Y, iterations taken).
     """
@@ -312,9 +336,9 @@ def y_update(
         f_val = np.asarray(f(t_n, x, y, z_val), float)
         y_new = -(rhs + dt * f_val) / c0
         delta = np.abs(y_new - y)
-        y = y_new
         if np.all(delta <= _PICARD_TOL * (1.0 + np.abs(y_new))):
             return y, it
+        y = y_new
     worst = int(np.argmax(np.max(delta, axis=-1)))
     raise PicardDivergence(
         f"implicit update did not converge in {_PICARD_MAX} iterations at "
@@ -368,7 +392,7 @@ def step_coupled(
 
     A pass freezes a, b at the current (Y, Z) iterate x_k, starting from the
     level n+1 values, and applies the explicit Z-update and then the implicit
-    Y-update (seeded from level n+1 every pass), giving g_k = G(x_k).  When
+    Y-update (seeded from x_k's Y), giving g_k = G(x_k).  When
     a, b ignore (Y, Z) the first pass is the level.  A coupled problem
     repeats the pass until every component of every node changes by at most
     ``_OUTER_TOL``·(1 + |g_k|) between x_k and g_k, and returns that g_k.
@@ -387,8 +411,8 @@ def step_coupled(
     seed = tuple(slice(int(o), int(o) + n) for o, n in zip(offset, target.shape))
     X = target.nodes().reshape(-1, target.dim)
     P = X.shape[0]
-    y_seed = near.y[seed].reshape(-1, near.m)
-    y_cur, z_cur = y_seed, near.z[seed].reshape(-1, near.m, near.d)
+    y_cur = near.y[seed].reshape(-1, near.m)
+    z_cur = near.z[seed].reshape(-1, near.m, near.d)
     g_prev = f_prev = None
     for outer in range(1, _OUTER_MAX + 1):
         pairs = conditional_expectations(
@@ -398,7 +422,7 @@ def step_coupled(
         rhs = kahan_sum(
             np.stack([coeffs[j] * pairs[j - 1][0] for j in range(1, len(pairs) + 1)])
         )
-        y_new, iters = y_update(rhs, coeffs[0], dt, t_n, X, z_new, problem.f, y_seed)
+        y_new, iters = y_update(rhs, coeffs[0], dt, t_n, X, z_new, problem.f, y_cur)
         if not problem.coupled:
             break
         # Each node's (Y, Z) image g and residual f; the test is y_update's,

@@ -71,6 +71,10 @@ def test_spec_validation():
         ExperimentSpec(problem="example1", r=3.5)
     with pytest.raises(ValueError, match="gh_points must be in"):
         ExperimentSpec(problem="example1", gh_points=0)
+    with pytest.raises(ValueError, match="init_substeps must be in"):
+        ExperimentSpec(problem="example1", init_substeps=0)
+    with pytest.raises(TypeError, match="init_substeps must be an integer"):
+        ExperimentSpec(problem="example1", init_substeps=2.0)
 
 
 def test_spec_cells_sorted_and_overrides():

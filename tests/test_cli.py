@@ -196,6 +196,23 @@ def test_run_failed_cells_exit_nonzero(capsys):
     assert payload["cells"][0]["status"] == "failed"
 
 
+def test_run_ramp_substeps_reach_exact_init_accuracy(capsys):
+    """``--init-substeps 4`` marches the ramp on Δt/4 and lands within 5× of
+    the exact-init errors, 4.62e-6 and 6.72e-7 at nt = 16 and 32; the crude
+    S = 1 ramp gives 1.11e-4 and 2.59e-5."""
+    code, out, err = run_cli(
+        capsys, "run", "--problem", "example1", "--k", "3", "--nt", "16,32",
+        "--init-mode", "ramp", "--init-substeps", "4",
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["config"]["init_substeps"] == 4
+    cells = payload["cells"]
+    assert [c["diagnostics"]["config"]["init_substeps"] for c in cells] == [4, 4]
+    for cell, exact in zip(cells, (4.62e-6, 6.72e-7)):
+        assert cell["y_errors"][0] <= 5 * exact
+
+
 def test_run_budget_skip_is_success(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--problem", "example1", "--k", "3", "--nt", "8,12",
@@ -248,11 +265,13 @@ def test_run_config_unreadable(capsys):
         {"problem": "example1", "nt": [8], "r": 0},
         {"problem": "example1", "nt": [8], "gh_points": 0},
         {"problem": "example1", "nt": [8], "m_comb": True},
+        {"problem": "example1", "nt": [8], "init_substeps": 0},
+        {"problem": "example1", "nt": [8], "init_substeps": True},
     ],
     ids=[
         "k-not-integers", "k-not-a-list", "m_comb-string", "problem-not-a-string",
         "bad-format", "not-an-object", "r-string", "r-float", "r-zero",
-        "gh_points-zero", "m_comb-bool",
+        "gh_points-zero", "m_comb-bool", "init_substeps-zero", "init_substeps-bool",
     ],
 )
 def test_run_config_wrong_value_is_clean_error(tmp_path, capsys, settings):

@@ -100,8 +100,10 @@ def test_node_queries_return_stored_values_bitwise():
 
 
 def test_gather_matches_per_axis_weighting_bitwise(monkeypatch):
-    # Reference: index each axis separately, weight a fresh copy, sum axis by axis.
-    # A budget of 8 queries' gather splits the 37 queries over 5 blocks.
+    # Reference: index each axis separately, weight a fresh copy, sum axis by
+    # axis, all in the stencil-major layout (stencil axes first, then the
+    # queries).  A budget of 8 queries' gather splits the 37 queries over 5
+    # blocks.
     monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * 5**2 * 3 * 8)
     rng = np.random.default_rng(5)
     lat = build_lattice(np.array([0.1, -0.2]), 0.05, np.array([0.6, 0.4]))
@@ -113,19 +115,46 @@ def test_gather_matches_per_axis_weighting_bitwise(monkeypatch):
         starts, w = _axis_stencil(
             (queries[:, ax] - lat.origin[ax]) / lat.h, r, int(lat.lo[ax]), int(lat.hi[ax])
         )
-        shape = [len(queries), 1, 1]
-        shape[1 + ax] = r + 1
-        idx.append((starts[:, None] - int(lat.lo[ax]) + np.arange(r + 1)).reshape(shape))
+        assert w.shape == (r + 1, len(queries))
+        shape = [1, 1, len(queries)]
+        shape[ax] = r + 1
+        idx.append((starts - int(lat.lo[ax]) + np.arange(r + 1)[:, None]).reshape(shape))
         weights.append(w)
     want = values[tuple(idx)]
-    for w in weights:
-        want = np.sum(want * w.reshape(w.shape + (1,) * (want.ndim - 2)), axis=1)
+    for ax, w in enumerate(weights):
+        w = w.reshape((r + 1,) + (1,) * (1 - ax) + (len(queries), 1, 1))
+        want = np.sum(want * w, axis=0)
     got = interpolate_values(lat, values, queries, r)
     assert np.array_equal(got, want)
     ints = np.round(values * 100).astype(int)
     got_int = interpolate_values(lat, ints, queries, r)
     want_int = interpolate_values(lat, ints.astype(float), queries, r).astype(int)
     assert np.array_equal(got_int, want_int)
+
+
+def test_degree_18_reproduces_polynomials_and_returns_nodes_bitwise():
+    """r = 18, the order-9 case: polynomials of degree <= 18 are reproduced
+    everywhere, one-sided hull stencils included, and node hits return the
+    stored values bit-exactly."""
+    r = 18
+    rng = np.random.default_rng(18)
+    lat = build_lattice(0.0, 0.1, 2.4, r=r)  # 49 nodes, -2.4 .. 2.4
+    coeffs = rng.uniform(-1, 1, size=r + 1)
+    x = lat.axis_coords(0)
+    values = np.polyval(coeffs, x / 2.4)[:, None]
+    queries = np.concatenate([
+        rng.uniform(-2.4, 2.4, size=300),
+        [-2.4, -2.39, -2.31, 2.31, 2.39, 2.4],  # one-sided stencils at the hull
+    ])[:, None]
+    got = interpolate_values(lat, values, queries, r)[:, 0]
+    want = np.polyval(coeffs, queries[:, 0] / 2.4)
+    assert got == pytest.approx(want, abs=1e-9)
+    # Every node, hull nodes included, and nodes nudged by less than the
+    # snap tolerance return the stored values exactly.
+    nudged = x + 0.1 * NODE_SNAP_TOL * rng.uniform(-0.5, 0.5, size=x.size)
+    nudged = np.clip(nudged, x[0], x[-1])
+    for pts in (x, nudged):
+        assert np.array_equal(interpolate_values(lat, values, pts[:, None], r), values)
 
 
 def test_interpolation_memory_is_bounded_by_the_block_budget():
@@ -152,7 +181,8 @@ def test_interpolation_memory_is_bounded_by_the_block_budget():
 def test_stencil_tie_goes_to_lower_start():
     starts, w = _axis_stencil(np.array([2.0]), r=3, lo=-10, hi=10)
     assert starts[0] == 0  # centered run {0,1,2,3} around 2 after the tie rule
-    assert w[0] == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=0)  # node hit: one-hot
+    assert w.shape == (4, 1)  # stencil-major: (r+1, queries)
+    assert w[:, 0] == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=0)  # node hit: one-hot
 
 
 def test_stencil_shifts_inward_at_boundary():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,13 +140,13 @@ def test_euler_points_places_predictor_nodes():
     b_val = problem.b(0.3, x)
     q, _ = rule.points()
     nodes, dw = euler_points(x, a_val, b_val, q, j, dt)
-    assert nodes.shape == (2, 4, 1)
+    assert nodes.shape == (4, 2, 1)  # (Q, P, n): quadrature index outermost
     assert dw.shape == (4, 1)
     scale = math.sqrt(2.0 * j * dt)
     assert dw == pytest.approx(scale * q, abs=0)
     for i in range(2):
         expected = x[i, 0] + 0.7 * j * dt + 0.5 * scale * q[:, 0]
-        assert nodes[i, :, 0] == pytest.approx(expected, rel=1e-15)
+        assert nodes[:, i, 0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_euler_points_rejects_nonpositive_span():
@@ -220,6 +221,91 @@ def test_conditional_expectations_match_monte_carlo():
     assert abs(eyw[0, 0] - mean_yw) < 6.0 * se_yw + 1e-7
 
 
+class _FirstCall(Exception):
+    pass
+
+
+def _first_expectations_call(monkeypatch, name, cfg):
+    """Arguments of the first conditional_expectations call of a solve."""
+
+    def recording(*args):
+        raise _FirstCall(args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stepper, "conditional_expectations", recording)
+        with pytest.raises(_FirstCall) as call:
+            solve(get_problem(name), cfg)
+    return call.value.args[0]
+
+
+def _span_bytes(args):
+    """Bytes of one span's quadrature terms, Q·P·m·(1+d)·8."""
+    window, x, rule = args[0], args[1], args[7]
+    Q = rule.npoints
+    return Q * x.shape[0] * window[0].m * (1 + window[0].d) * 8
+
+
+@pytest.mark.parametrize(
+    "name, cfg",
+    [("example1", SolverConfig(k=5, n_steps=10)), ("example3", SolverConfig(k=3, n_steps=7))],
+    ids=["example1", "example3"],
+)
+def test_batched_span_sums_match_single_spans_bytewise(monkeypatch, name, cfg):
+    """Summing spans in groups gives the bytes of summing each span alone."""
+    args = _first_expectations_call(monkeypatch, name, cfg)
+    window = args[0]
+    sums = []
+    kahan = stepper.kahan_sum
+
+    def counting_kahan(*a, **kw):
+        sums.append(1)
+        return kahan(*a, **kw)
+
+    monkeypatch.setattr(stepper, "kahan_sum", counting_kahan)
+    results, calls = {}, {}
+    for label, budget in [
+        ("default", fbsde.lattice._BLOCK_BYTES),
+        ("one group", len(window) * _span_bytes(args)),
+        ("single spans", _span_bytes(args) - 1),
+    ]:
+        monkeypatch.setattr(fbsde.lattice, "_BLOCK_BYTES", budget)
+        del sums[:]
+        results[label] = conditional_expectations(*args)
+        calls[label] = len(sums)
+    assert calls["one group"] == 1
+    assert calls["single spans"] == len(window) > 1
+    for label in ("default", "one group"):
+        for (ey, eyw), (ey1, eyw1) in zip(results[label], results["single spans"]):
+            assert ey.tobytes() == ey1.tobytes() and eyw.tobytes() == eyw1.tobytes()
+
+
+def test_expectations_memory_is_bounded_by_the_block_budget(monkeypatch):
+    """One call holds one group of span terms, not every span's at once.
+
+    The first example3 window at n_steps=12 reads 6 levels from 2,209 nodes:
+    8 × 2,209 × 2 × 2 × 8 B ≈ 0.57 MB of quadrature terms per span.  With
+    the budget at one span, all six spans' terms at once would take six
+    budgets.
+    """
+    args = _first_expectations_call(monkeypatch, "example3", SolverConfig(k=3, n_steps=12))
+    window, x, rule = args[0], args[1], args[7]
+    span = _span_bytes(args)
+    monkeypatch.setattr(fbsde.lattice, "_BLOCK_BYTES", span)
+    tracemalloc.start()
+    try:
+        out = conditional_expectations(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(window) == 6
+    # One group's terms, one interpolation block (gather and indices), a
+    # span's quadrature points and the few arrays of their size that the
+    # predictor and the hull test make, and the outputs.
+    points = rule.npoints * x.nbytes
+    outputs = len(window) * span // rule.npoints
+    assert peak < 2.5 * span + 8 * points + outputs
+
+
 def test_z_update_weights_and_scales_moments():
     eyw = [np.full((1, 1, 1), 0.4), np.full((1, 1, 1), -0.1)]
     coeffs = np.array([99.0, 2.0, 3.0])
@@ -258,6 +344,24 @@ def test_y_update_contracts_to_fixed_point():
     residual = -2.0 * y + rhs + 0.3 * f(0.0, x, y, z)
     assert abs(residual[0, 0]) < 1e-13
     assert iters < 20
+
+
+def test_y_update_returns_a_solving_seed_unchanged():
+    """Re-solving from a solution returns it bit for bit after one check, so
+    a coupled pass seeded from a converged iterate does not move it."""
+    rhs = np.array([[0.8], [-0.3]])
+    x = np.zeros((2, 1))
+    z = np.zeros((2, 1, 1))
+
+    def f(t, xx, y, zz):
+        return 0.5 * np.sin(y)
+
+    y, iters = y_update(rhs, c0=-2.0, dt=0.3, t_n=0.0, x=x, z_val=z, f=f,
+                        y_seed=np.zeros((2, 1)))
+    assert iters > 1
+    again, iters = y_update(rhs, c0=-2.0, dt=0.3, t_n=0.0, x=x, z_val=z, f=f, y_seed=y)
+    assert iters == 1
+    assert np.array_equal(again, y)
 
 
 def test_y_update_reports_divergence():
