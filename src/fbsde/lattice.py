@@ -55,7 +55,10 @@ class OutOfDomain(ValueError):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Uniform lattice: node(i) = origin + i·h, lo ≤ i ≤ hi (per axis)."""
+    """Uniform lattice: node(i) = origin + i·h, lo ≤ i ≤ hi (per axis).
+
+    More than ``MAX_NODES`` nodes raise TooManyNodes; only the shape is built.
+    """
 
     origin: np.ndarray
     h: float
@@ -72,6 +75,11 @@ class Lattice:
             raise ValueError("hi must be >= lo on every axis")
         if np.any(self.lo > 0) or np.any(self.hi < 0):
             raise ValueError("origin must be a lattice node (lo <= 0 <= hi)")
+        if self.num_nodes > MAX_NODES:
+            raise TooManyNodes(
+                f"lattice would hold {self.num_nodes} nodes (> {MAX_NODES}); "
+                f"shape {self.shape}"
+            )
 
     @property
     def dim(self) -> int:
@@ -115,11 +123,6 @@ def build_lattice(center, h: float, radius, r: int | None = None) -> Lattice:
         raise ValueError("radius must be non-negative")
     half = np.array([int(math.ceil(v / h - 1e-12)) for v in rad])
     lat = Lattice(origin=origin, h=float(h), lo=-half, hi=half)
-    if lat.num_nodes > MAX_NODES:
-        raise TooManyNodes(
-            f"lattice would hold {lat.num_nodes} nodes (> {MAX_NODES}); "
-            f"shape {lat.shape}"
-        )
     if r is not None and any(n < r + 1 for n in lat.shape):
         raise TooFewNodes(
             f"lattice shape {lat.shape} cannot host a degree-{r} stencil "
@@ -181,7 +184,8 @@ def _axis_stencil(u: np.ndarray, r: int, lo: int, hi: int) -> tuple[np.ndarray, 
     """
     bary, offsets, _ = _stencil_constants(r)
     starts = np.ceil(u - r / 2.0 - 0.5).astype(int)
-    np.clip(starts, lo, hi - r, out=starts)
+    np.maximum(starts, lo, out=starts)
+    np.minimum(starts, hi - r, out=starts)
     local = u - starts
     with np.errstate(divide="ignore", invalid="ignore"):
         w = bary / (local - offsets)

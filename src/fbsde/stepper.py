@@ -24,16 +24,19 @@ All reductions run in a fixed order with compensated summation, so repeated
 runs are bit-identical.
 
 Spatially the scheme lives on an unbounded uniform lattice; a run only ever
-touches a finite cone of it.  Each marched level is stored on its own window
-lattice, the nodes within a half-width of x0 that shrinks as the march
-approaches t = 0: the window at level n exceeds the window at level n−1 by
-enough nodes that every quadrature point launched from a node of level n−1
-lands inside the window of the level it reads.  Interpolation there uses
-stencils over that window's own nodes, one-sided near its edge, so values are
-never extrapolated, clamped, or read from uncomputed nodes.  The cone is
-sized from sampled coefficient bounds, so each read checks it: a quadrature
-point outside the level's window raises :class:`~fbsde.lattice.OutOfDomain`
-naming t_n, the span, the level, the axis and the overhang in nodes.
+touches a finite cone of it.  One schedule lists every level of a solve, and
+each level is stored on its own window lattice.  Before the march, one pass
+over the schedule walks from t = 0 toward T: the t = 0 level is x0 alone, and
+every other window is the index hull of the quadrature points that the levels
+reading it launch into it.  The forward step is an Euler step, so those
+points are x + a·jΔt ± ‖b‖₁·√(2jΔt)·q_max with a, b evaluated once at the
+reading level's own (t, nodes), the values its step freezes; for a decoupled
+problem the cone is exact.  Interpolation uses stencils over a window's own
+nodes, one-sided near its edge, so values are never extrapolated, clamped, or
+read from uncomputed nodes.  A coupled problem's cone is an estimate, so each
+read checks it: a quadrature point outside the level's window raises
+:class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the level, the axis
+and the overhang in nodes.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import math
 import operator
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -457,108 +460,136 @@ step_decoupled = step_coupled
 
 
 # ---------------------------------------------------------------------------
-# Query-cone geometry
+# Schedule, query cone and march
 # ---------------------------------------------------------------------------
 
+#: A level of a solve: (t, Δt, schedule indices of the levels it reads,
+#: nearest first); one that reads none is initialized, not marched.
+Entry = tuple[float, float, tuple[int, ...]]
 
-def _coefficient_bounds(
-    problem: FbsdeProblem, radius: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis sup bounds of |a_i| and ‖b_i·‖₁ over a (t, x) box.
+#: Nodes of slack per window side beyond the farthest expected quadrature
+#: point: rounding, and on coupled problems the outer loop's iterates.
+_CONE_MARGIN = 0.25
 
-    The box is sampled at 9 times and 13 points per axis; (Y, Z) arguments
-    come from the closed-form solution when available, otherwise from the
-    terminal data with a 1.5× safety inflation.
+
+def _schedule(problem: FbsdeProblem, cfg: SolverConfig) -> list[Entry]:
+    """Every level of a solve in marching order, from T down to t = 0.
+
+    ``exact`` mode initializes the top k+m−1 levels of the Δt grid.  ``ramp``
+    mode initializes the terminal level alone; its (k+m−2)·S fine levels
+    Δt/S apart each read up to k+m−1 levels above them, and every S-th lies
+    on the grid.  Each main-march level reads the k+m−1 grid levels above it.
     """
-    axes = [
-        np.linspace(problem.x0[i] - radius[i], problem.x0[i] + radius[i], 13)
-        for i in range(problem.n)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    a_max = np.zeros(problem.n)
-    b_max = np.zeros(problem.n)
-    inflate = 1.0 if problem.has_analytic else 1.5
-    for t in np.linspace(0.0, problem.T, 9):
-        if problem.has_analytic:
-            y = np.asarray(problem.analytic_y(t, pts), float)
-            z = np.asarray(problem.analytic_z(t, pts), float)
-        else:
-            y = np.asarray(problem.g(pts), float)
-            z = np.zeros(pts.shape[:-1] + (problem.m, problem.d))
-        a_val = np.asarray(problem.a(t, pts, y, z), float)
-        b_val = np.asarray(problem.b(t, pts, y, z), float)
-        a_max = np.maximum(a_max, np.max(np.abs(a_val), axis=0))
-        b_max = np.maximum(b_max, np.max(np.sum(np.abs(b_val), axis=-1), axis=0))
-    return inflate * a_max, inflate * b_max
+    width = cfg.k + cfg.m_comb - 1
+    dt = problem.T / cfg.n_steps
+    if cfg.init_mode == "exact":
+        entries = [(i * dt, dt, ()) for i in range(cfg.n_steps, cfg.n_steps - width, -1)]
+        grid = list(range(width))
+    else:
+        S = cfg.init_substeps
+        dt_fine = dt / S
+        entries = [(problem.T, dt_fine, ())]
+        entries.extend(
+            (problem.T - i * dt_fine, dt_fine, tuple(range(i - 1, max(i - width, 0) - 1, -1)))
+            for i in range(1, (width - 1) * S + 1)
+        )
+        grid = list(range(0, (width - 1) * S + 1, S))
+    for n in range(cfg.n_steps - width, -1, -1):
+        entries.append((n * dt, dt, tuple(grid[: -width - 1 : -1])))
+        grid.append(len(entries) - 1)
+    return entries
 
 
-def _hop_indices(
-    a_max: np.ndarray,
-    b_max: np.ndarray,
-    q_max: float,
-    dt: float,
-    h: float,
-) -> np.ndarray:
-    """Per-axis node count by which the active window must grow per level.
+def _cone(
+    problem: FbsdeProblem, schedule: Sequence[Entry], r: int, h: float, q_max: float
+) -> list[Lattice]:
+    """The window lattice of every schedule entry, sized from the march's reads.
 
-    A quadrature point launched from x over one span travels at most
-    |a|·Δt + ‖b‖₁·√(2Δt)·|q|_max along each axis.  The hop is that reach in
-    whole nodes plus one, so a window growing by this many nodes per level
-    holds every quadrature point strictly inside the lattice it reads, for
-    all spans (j-step reaches are subadditive in j).  The stencils around
-    those points are the lattice's business: near a window edge they are
-    one-sided over its computed nodes.
+    Walks the schedule from t = 0, which is x0 alone, toward T.  Every other
+    window is the index hull of the quadrature points launched into it,
+    widened by ``_CONE_MARGIN`` node per side and rounded outward, then to
+    hold the origin, the window of every level it seeds (a step starts from
+    its nearest level's values), and evenly to r+1 nodes per axis.  Building
+    it raises :class:`~fbsde.lattice.TooManyNodes` before anything is
+    evaluated on it.  Then a, b are evaluated at the entry's (t, nodes) and
+    each span j's reach x + a·jΔt ± ‖b‖₁·√(2jΔt)·q_max joins the needs of the
+    level it reads: exactly what a decoupled step freezes.  A coupled problem
+    takes (Y, Z) from its closed form, or else from the terminal data: g and
+    the gradient relation for Z.
     """
-    reach = a_max * dt + b_max * math.sqrt(2.0 * dt) * q_max
-    return np.ceil(reach / h - 1e-12).astype(int) + 1
-
-
-# ---------------------------------------------------------------------------
-# March
-# ---------------------------------------------------------------------------
+    origin = np.asarray(problem.x0, float)
+    # Terminal data is a rough (Y, Z) away from T, so a coupled problem
+    # without a closed form widens each reach by half of |a| and ‖b‖₁.
+    slack = 0.5 if problem.coupled and not problem.has_analytic else 0.0
+    size = (len(schedule), problem.n)
+    need_lo, need_hi = np.full(size, np.inf), np.full(size, -np.inf)
+    keep_lo, keep_hi = np.zeros(size), np.zeros(size)  # origin and seeded windows
+    windows: list[Lattice] = [None] * len(schedule)
+    for e in range(len(schedule) - 1, -1, -1):
+        t, dt, reads = schedule[e]
+        lo = np.minimum(np.floor(need_lo[e] - _CONE_MARGIN), keep_lo[e]).astype(int)
+        hi = np.maximum(np.ceil(need_hi[e] + _CONE_MARGIN), keep_hi[e]).astype(int)
+        if e < len(schedule) - 1:
+            short = np.maximum(r + 1 - (hi - lo + 1), 0)
+            lo -= short // 2
+            hi += short - short // 2
+        windows[e] = Lattice(origin=origin, h=h, lo=lo, hi=hi)
+        if not reads:
+            continue
+        keep_lo[reads[0]] = np.minimum(keep_lo[reads[0]], lo)
+        keep_hi[reads[0]] = np.maximum(keep_hi[reads[0]], hi)
+        X = windows[e].nodes().reshape(-1, problem.n)
+        y = z = None
+        if problem.coupled and problem.has_analytic:
+            y, z = problem.analytic_y(t, X), problem.analytic_z(t, X)
+        elif problem.coupled:
+            y = np.asarray(problem.g(X), float)
+            z = _terminal_z(problem, X, y)
+        a_val = np.asarray(problem.a(t, X, y, z), float)
+        b_sum = np.sum(np.abs(np.asarray(problem.b(t, X, y, z), float)), axis=-1)
+        j_dt = np.arange(1, len(reads) + 1)[:, None, None] * dt  # a row per span j
+        centre = (X + a_val * j_dt - origin) / h
+        spread = b_sum * (np.sqrt(2.0 * j_dt) * q_max / h)
+        spread += slack * (spread + np.abs(a_val) * (j_dt / h))
+        read = list(reads)
+        need_lo[read] = np.minimum(need_lo[read], np.min(centre - spread, axis=1))
+        need_hi[read] = np.maximum(need_hi[read], np.max(centre + spread, axis=1))
+    return windows
 
 
 def _march(
-    problem: FbsdeProblem,
-    cfg: SolverConfig,
-    rule: TensorRule,
-    r: int,
-    window: list[ValueLevel],
-    levels: Iterable[tuple[float, np.ndarray]],
-    dt: float,
+    problem: FbsdeProblem, cfg: SolverConfig, rule: TensorRule, r: int,
+    schedule: Sequence[Entry], windows: Sequence[Lattice],
+    levels: dict[int, ValueLevel], entries: range,
 ) -> Iterator[tuple[ValueLevel, int, int]]:
-    """Compute one level per entry of ``levels`` and yield each as it seals.
+    """Compute the schedule's ``entries`` in order, yielding (level, Picard
+    iterations, outer iterations) as each seals.
 
-    ``window`` holds the newest sealed levels, newest first, and ``levels``
-    the (t_n, per-axis half-width) of the levels to compute in marching
-    order, ``dt`` apart.  Each level is computed on its own window lattice,
-    that many nodes either side of the origin node.  The window is rotated
-    in place, so a level is freed once it leaves it.  With ℓ sealed levels in
-    hand the step uses the weight row of order k′ = min(k, ℓ) and
-    m′ = min(m_comb, ℓ+1−k′), so a full window of k+m−1 levels gives
-    (k, m_comb) and a short one grows the order as history accrues.
-
-    Yields (level, Picard iterations, outer iterations) per level.
+    Each entry steps on its window from the levels it reads, taken from
+    ``levels`` (schedule index → sealed level), and joins them there; a
+    level is dropped once its last reader has sealed.  Reading ℓ levels uses
+    the weight row k′ = min(k, ℓ), m′ = ℓ+1−k′: (k, m_comb) on a full read,
+    and a growing order on the ramp's short ones.
     """
-    origin, h = window[0].lattice.origin, window[0].lattice.h
-    width = cfg.k + cfg.m_comb - 1
+    last_reader = {i: e for e, (_, _, reads) in enumerate(schedule) for i in reads}
     rows: dict[tuple[int, int], np.ndarray] = {}
-    for t_n, halfwidth in levels:
-        k_eff = min(cfg.k, len(window))
-        m_eff = min(cfg.m_comb, len(window) + 1 - k_eff)
+    for e in entries:
+        t_n, dt, reads = schedule[e]
+        k_eff = min(cfg.k, len(reads))
+        m_eff = len(reads) + 1 - k_eff
         if (k_eff, m_eff) not in rows:
             rows[k_eff, m_eff] = np.array(
                 [float(c) for c in solve_weights(k_eff, m_eff).window_sums()],
                 dtype=float,
             )
-        coeffs = rows[k_eff, m_eff]
         level, piters, oiters = step_coupled(
-            window[: len(coeffs) - 1], t_n, dt, problem, coeffs, rule, r,
-            Lattice(origin=origin, h=h, lo=-halfwidth, hi=halfwidth),
+            [levels[i] for i in reads], t_n, dt, problem, rows[k_eff, m_eff], rule, r,
+            windows[e],
         )
-        window.insert(0, level)
-        del window[width:]
+        for i in reads:
+            if last_reader[i] == e:
+                del levels[i]
+        levels[e] = level
         yield level, piters, oiters
 
 
@@ -596,77 +627,45 @@ def _terminal_z(problem: FbsdeProblem, X: np.ndarray, y_term: np.ndarray) -> np.
 
 def initialize_levels(
     problem: FbsdeProblem,
-    lattice: Lattice,
     cfg: SolverConfig,
     rule: TensorRule,
     r: int,
-    fine_hop: np.ndarray,
-) -> tuple[list[ValueLevel], list[tuple[int, int]]]:
-    """Fill the top k+m−1 levels (indices n_steps−k−m+2 .. n_steps).
+    schedule: Sequence[Entry],
+    windows: Sequence[Lattice],
+) -> tuple[dict[int, ValueLevel], list[tuple[int, int]]]:
+    """Compute every schedule entry before the main march's levels.
 
-    Returns them nearest level first, the window the main march starts from,
+    Returns the sealed levels the main march starts from, by schedule index,
     and the (Picard, outer) iteration counts of each ramp level in marching
-    order (none in exact mode).  ``exact`` mode samples the problem's
-    closed-form (Y, Z) on the full lattice (raising :class:`MissingAnalytic`
-    when there is none).
-
-    ``ramp`` mode is self-starting: the terminal level takes Y = g and the
-    gradient relation for Z, and the remaining startup levels come from the
-    same march loop as the main solve, on a Δt/S subgrid with
-    S = ``init_substeps``.  The march starts from the terminal level alone,
-    so the scheme order grows as history becomes available, and every S-th
-    fine level is kept.  The terminal level lives on the lattice hull; each
-    fine level lives on a window ``fine_hop`` nodes per side narrower than
-    the one before, so the ramp reads only computed data, like the main march.
+    order (none in exact mode).  An entry that reads no level is initialized
+    on its own window: ``exact`` mode samples the closed-form (Y, Z) there,
+    which :func:`solve` checks exists.  ``ramp`` mode is self-starting: the
+    terminal level takes Y = g and the gradient relation for Z, and the fine
+    levels come from the main solve's march loop, so the scheme order grows
+    as history becomes available.
     """
-    width = cfg.k + cfg.m_comb - 1
-    dt = problem.T / cfg.n_steps
-    shape = lattice.shape
-    levels: list[ValueLevel] = []
-
-    if cfg.init_mode == "exact":
-        if not problem.has_analytic:
-            raise MissingAnalytic(
-                f"problem {problem.name!r} has no closed-form solution; "
-                "use init_mode='ramp'"
-            )
-        X = lattice.nodes().reshape(-1, lattice.dim)
-        for i in range(cfg.n_steps - width + 1, cfg.n_steps + 1):
-            t = i * dt
+    main = cfg.n_steps - cfg.k - cfg.m_comb + 2
+    before = range(len(schedule) - main)
+    levels: dict[int, ValueLevel] = {}
+    for e in (e for e in before if not schedule[e][2]):
+        t, window = schedule[e][0], windows[e]
+        X = window.nodes().reshape(-1, window.dim)
+        if cfg.init_mode == "exact":
             y = np.asarray(problem.analytic_y(t, X), float)
             z = np.asarray(problem.analytic_z(t, X), float)
-            levels.append(ValueLevel(
-                lattice=lattice,
-                t=t,
-                y=y.reshape(shape + (problem.m,)),
-                z=z.reshape(shape + (problem.m, problem.d)),
-            ))
-        return levels, []
-
-    # Self-starting ramp.
-    S = cfg.init_substeps
-    dt_fine = dt / S
-    X = lattice.nodes().reshape(-1, lattice.dim)
-    y_term = np.asarray(problem.g(X), float)
-    z_term = _terminal_z(problem, X, y_term)
-    terminal = ValueLevel(
-        lattice=lattice,
-        t=problem.T,
-        y=y_term.reshape(shape + (problem.m,)),
-        z=z_term.reshape(shape + (problem.m, problem.d)),
+        else:
+            y = np.asarray(problem.g(X), float)
+            z = _terminal_z(problem, X, y)
+        levels[e] = ValueLevel(
+            lattice=window,
+            t=t,
+            y=y.reshape(window.shape + (problem.m,)),
+            z=z.reshape(window.shape + (problem.m, problem.d)),
+        )
+    march = _march(
+        problem, cfg, rule, r, schedule, windows, levels, before[len(levels):]
     )
-    levels.append(terminal)
-    hull = np.minimum(-lattice.lo, lattice.hi)
-    fine = (
-        (problem.T - i * dt_fine, hull - i * fine_hop)
-        for i in range(1, (width - 1) * S + 1)
-    )
-    march = _march(problem, cfg, rule, r, [terminal], fine, dt_fine)
-    counts: list[tuple[int, int]] = []
-    for i, (level, piters, oiters) in enumerate(march, 1):
-        counts.append((piters, oiters))
-        if i % S == 0:
-            levels.insert(0, level)
+    counts = [(piters, oiters) for _, piters, oiters in march]
     return levels, counts
 
 
@@ -676,24 +675,28 @@ def initialize_levels(
 
 
 def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
-    """March the backward scheme from the terminal window down to t = 0.
+    """March the backward scheme from the terminal levels down to t = 0.
 
-    The lattice is sized from the query cone: level n > 0 is computed on a
-    window lattice of half-width r // 2 + n hops, each hop covering the
-    per-level quadrature reach, so no quadrature point leaves computed data;
-    one that would raises :class:`~fbsde.lattice.OutOfDomain`.  Every level
-    that is read therefore holds a degree-r stencil, centred on each point
-    read from x0.  The t = 0 level is only read at x0 and is computed there
-    alone.  :func:`initialize_levels` fills the top k+m−1 levels and the
-    march loop it shares with the ramp computes the rest with the full
-    (k, m_comb) window.  Returns a :class:`SolveResult` with the (m,)-vector
-    ``y0`` and the (m, d)-matrix ``z0`` at x0, plus diagnostics: the
-    resolved discretization, cone geometry, per-level Picard/outer iteration
-    counts of the main march and (``ramp_*``) of the ramp, and wall time.
+    :func:`_cone` sizes each level of :func:`_schedule` a window that holds
+    every quadrature point read from it and at least a degree-r stencil;
+    the t = 0 level is x0 alone.  :func:`build_lattice` builds the
+    x0-centred hull of all windows, which the diagnostics report.
+    :func:`initialize_levels` computes every level the main march starts
+    from, and the march loop it shares with the ramp computes the rest.
+    Exact init of a problem without a closed form raises
+    :class:`MissingAnalytic` before any of that.  Returns a
+    :class:`SolveResult` with the (m,)-vector ``y0`` and the (m, d)-matrix
+    ``z0`` at x0, plus diagnostics: the resolved discretization, the hull,
+    per-level Picard/outer iteration counts of the main march and
+    (``ramp_*``) of the ramp, and wall time.
     """
     start = time.perf_counter()
-    k, m_comb = cfg.k, cfg.m_comb
-    width = k + m_comb - 1
+    if cfg.init_mode == "exact" and not problem.has_analytic:
+        raise MissingAnalytic(
+            f"problem {problem.name!r} has no closed-form solution; "
+            "use init_mode='ramp'"
+        )
+    k = cfg.k
     dt = problem.T / cfg.n_steps
     r = cfg.r if cfg.r is not None else max(10, k + 1)
     h = dt ** ((k + 1) / (r + 1))
@@ -701,34 +704,16 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     rule = gauss_hermite_tensor(npts, problem.d)
     q_max = float(np.max(np.abs(rule.points()[0])))
 
-    # Size the cone; coefficient bounds and extent depend on each other, so
-    # iterate the sampling until the radius stops growing.
-    radius = np.ones(problem.n)
-    a_max = b_max = np.zeros(problem.n)
-    hop = fine_hop = np.zeros(problem.n, int)
-    for _ in range(4):
-        a_max, b_max = _coefficient_bounds(problem, radius)
-        hop = _hop_indices(a_max, b_max, q_max, dt, h)
-        fine_hop = _hop_indices(a_max, b_max, q_max, dt / cfg.init_substeps, h)
-        half = r // 2 + cfg.n_steps * hop
-        if cfg.init_mode == "ramp":
-            half = half + (width - 1) * cfg.init_substeps * fine_hop
-        new_radius = half * h
-        if np.all(new_radius <= radius):
-            break
-        radius = new_radius
-    lattice = build_lattice(problem.x0, h, radius, r=r)
+    schedule = _schedule(problem, cfg)
+    windows = _cone(problem, schedule, r, h, q_max)
+    half = np.max([np.maximum(-w.lo, w.hi) for w in windows], axis=0)
+    lattice = build_lattice(problem.x0, h, half * h, r=r)
 
-    first = cfg.n_steps - width
-    # Level n > 0 is read by later levels, so its window reaches r // 2 + n
-    # hops either side of x0 and holds a degree-r stencil; level 0 is read
-    # only at x0.
-    halfwidths = [r // 2 + n * hop for n in range(first, 0, -1)]
-    halfwidths.append(np.zeros_like(hop))
-    window, ramp = initialize_levels(problem, lattice, cfg, rule, r, fine_hop)
+    levels, ramp = initialize_levels(problem, cfg, rule, r, schedule, windows)
+    marched = cfg.n_steps - k - cfg.m_comb + 2
     march = _march(
-        problem, cfg, rule, r, window,
-        zip((n * dt for n in range(first, -1, -1)), halfwidths), dt,
+        problem, cfg, rule, r, schedule, windows, levels,
+        range(len(schedule) - marched, len(schedule)),
     )
     picard_per_level: list[int] = []
     outer_per_level: list[int] = []
@@ -748,11 +733,7 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
         "gh_points": npts,
         "lattice_shape": list(lattice.shape),
         "num_nodes": lattice.num_nodes,
-        "radius": radius.tolist(),
-        "coefficient_bounds": {"a_max": a_max.tolist(), "b_max": b_max.tolist()},
-        "cone_hop_nodes": hop.tolist(),
-        "active_halfwidth_first": halfwidths[0].tolist(),
-        "levels_marched": first + 1,
+        "levels_marched": marched,
         "picard_iterations": picard_per_level,
         "picard_iterations_max": max(picard_per_level, default=0),
         "outer_iterations": outer_per_level,

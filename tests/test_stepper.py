@@ -11,7 +11,7 @@ import pytest
 import fbsde.lattice
 import fbsde.stepper as stepper
 from fbsde.hermite import MAX_POINTS, gauss_hermite_tensor
-from fbsde.lattice import OutOfDomain, ValueLevel, build_lattice
+from fbsde.lattice import OutOfDomain, TooManyNodes, ValueLevel, build_lattice
 from fbsde.problems import FbsdeProblem, get_problem
 from fbsde.stepper import (
     MissingAnalytic,
@@ -282,8 +282,8 @@ def test_batched_span_sums_match_single_spans_bytewise(monkeypatch, name, cfg):
 def test_expectations_memory_is_bounded_by_the_block_budget(monkeypatch):
     """One call holds one group of span terms, not every span's at once.
 
-    The first example3 window at n_steps=12 reads 6 levels from 2,209 nodes:
-    8 × 2,209 × 2 × 2 × 8 B ≈ 0.57 MB of quadrature terms per span.  With
+    The first example3 window at n_steps=12 reads 6 levels from 625 nodes:
+    8 × 625 × 2 × 2 × 8 B = 0.16 MB of quadrature terms per span.  With
     the budget at one span, all six spans' terms at once would take six
     budgets.
     """
@@ -516,52 +516,101 @@ def test_outer_tolerance_is_relative_to_the_iterate():
 
 
 def test_undersized_query_cone_is_reported():
-    """A drift spike the coefficient sampling misses must not be read past.
+    """A read past a level's window names the step, the span, the level read
+    and the overhang in nodes.
 
-    a = 30·sin²(8πt) vanishes at every sampled time t = i/8, so the cone is
-    sized for a = 0 and a quadrature point drifts out of the computed window.
+    From x = 0.75 at t = 0.1 with a = 7, b = 0.1 and Δt = 0.02, span 2
+    drifts to 1.03 ± 0.1·√(4Δt)·q_max, past the window's hull at 1.0, while
+    span 1 stays inside it.
     """
-    problem = FbsdeProblem(
-        name="hidden-drift", n=1, m=1, d=1, T=1.0, x0=np.array([0.0]),
-        a=lambda t, x, y, z: np.full_like(x, 30.0 * np.sin(8.0 * np.pi * t) ** 2),
-        b=lambda t, x, y, z: np.full(x.shape + (1,), 0.3),
-        f=lambda t, x, y, z: np.zeros_like(y),
-        g=np.sin,
-        coupled=False,
-        analytic_y=lambda t, x: np.sin(x),
-        analytic_z=lambda t, x: 0.3 * np.cos(x)[..., None],
-    )
+    problem = _constant_coefficient_problem(a0=7.0, b0=0.1)
+    lattice = build_lattice(0.0, 0.1, 1.0, r=3)
+    window = _window(lattice, [0.12, 0.14], lambda t, X: np.sin(X))
+    rule = gauss_hermite_tensor(4, 1)
+    q_max = float(np.max(np.abs(rule.points()[0])))
+    overhang = (0.75 + 7.0 * 0.04 + 0.1 * math.sqrt(0.08) * q_max - 1.0) / 0.1
     with pytest.raises(OutOfDomain) as err:
-        solve(problem, SolverConfig(k=3, n_steps=12))
+        conditional_expectations(
+            window, np.array([[0.75]]), 0.1, 0.02, problem, None, None, rule, 3
+        )
     message = str(err.value)
-    assert "t = 0.416667" in message
-    assert "span j=1" in message
-    assert "reading level t = 0.5" in message
-    assert "2.67 node(s) beyond the lattice hull on axis 0" in message
+    assert "query cone too small at t = 0.1," in message
+    assert "span j=2" in message
+    assert "reading level t = 0.14" in message
+    assert f"{overhang:.3g} node(s) beyond the lattice hull on axis 0" in message
+
+
+def test_oversized_window_fails_before_coefficients_run_on_it(monkeypatch):
+    """A window past ``MAX_NODES`` raises TooManyNodes as the cone settles it,
+    before a or b is evaluated on its nodes."""
+    problem = get_problem("example1")
+    rows = []
+
+    def counting_a(t, x, y, z):
+        rows.append(len(x))
+        return problem.a(t, x, y, z)
+
+    monkeypatch.setattr(fbsde.lattice, "MAX_NODES", 12)
+    with pytest.raises(TooManyNodes, match="> 12"):
+        solve(dataclasses.replace(problem, a=counting_a), SolverConfig(k=3, n_steps=8))
+    assert rows and max(rows) <= 12
 
 
 def test_marched_levels_live_on_their_windows(monkeypatch):
-    """Each marched level holds finite values on exactly its window's nodes."""
-    sealed = []
-    step = stepper.step_coupled
+    """Each window holds exactly the quadrature points read from it.
 
-    def recording_step(*args, **kwargs):
-        out = step(*args, **kwargs)
+    Every point lands inside its window, and each side of a window lies
+    within ``_CONE_MARGIN`` + 1 node of the farthest point read there,
+    unless the origin, the window of a level it seeds, or the r+1 node floor
+    sets that side.  The t = 0 level is x0 alone, and every level holds
+    finite values on its window's nodes.
+    """
+    reads, seeds, sealed = {}, [], []
+    interpolate, step = stepper.interpolate_values, stepper.step_coupled
+
+    def recording_interpolate(lattice, values, queries, r):
+        u = (queries - lattice.origin) / lattice.h
+        lows, highs = reads.setdefault(id(lattice), (lattice, [], []))[1:]
+        lows.append(np.min(u, axis=0))
+        highs.append(np.max(u, axis=0))
+        return interpolate(lattice, values, queries, r)
+
+    def recording_step(window, *args):
+        out = step(window, *args)
+        seeds.append((window[0].lattice, out[0].lattice))
         sealed.append(out[0])
         return out
 
+    monkeypatch.setattr(stepper, "interpolate_values", recording_interpolate)
     monkeypatch.setattr(stepper, "step_coupled", recording_step)
-    _, _, diag = solve(get_problem("example1"), SolverConfig(k=3, n_steps=8))
-    first = diag["levels_marched"] - 1
-    hop = np.array(diag["cone_hop_nodes"])
-    assert len(sealed) == first + 1
-    assert diag["active_halfwidth_first"] == (diag["r"] // 2 + first * hop).tolist()
-    for i, level in enumerate(sealed):
-        n = first - i  # level n > 0 is read later; level 0 only at x0
-        halfwidth = diag["r"] // 2 + n * hop if n else 0 * hop
-        assert level.lattice.shape == tuple(2 * halfwidth + 1)
-        assert np.array_equal(level.lattice.lo, -halfwidth)
-        assert np.all(np.isfinite(level.y)) and np.all(np.isfinite(level.z))
+    margin = stepper._CONE_MARGIN + 1.0
+    for name, cfg in (
+        ("example1", SolverConfig(k=3, n_steps=8)),
+        ("example1", SolverConfig(k=3, n_steps=8, init_mode="ramp", init_substeps=2)),
+        ("example3", SolverConfig(k=3, n_steps=7)),
+    ):
+        for record in (reads, seeds, sealed):
+            record.clear()
+        diag = solve(get_problem(name), cfg).diagnostics
+        r, dim = diag["r"], len(diag["lattice_shape"])
+        assert sealed[-1].lattice.shape == (1,) * dim
+        assert np.array_equal(sealed[-1].lattice.lo, np.zeros(dim))
+        for level in sealed:
+            assert np.all(np.isfinite(level.y)) and np.all(np.isfinite(level.z))
+        initialized = 1 if cfg.init_mode == "ramp" else cfg.k + cfg.m_comb - 1
+        assert len(reads) == initialized + len(sealed) - 1  # all but t = 0
+        for lattice, lows, highs in reads.values():
+            low, high = np.min(lows, axis=0), np.max(highs, axis=0)
+            assert np.all(lattice.lo <= low + 1e-9) and np.all(high <= lattice.hi + 1e-9)
+            kept = [target for near, target in seeds if near is lattice]
+            floor = lattice.hi - lattice.lo + 1 == r + 1
+            set_lo = (lattice.lo == 0) | floor
+            set_hi = (lattice.hi == 0) | floor
+            for target in kept:
+                set_lo |= target.lo == lattice.lo
+                set_hi |= target.hi == lattice.hi
+            assert np.all(set_lo | (low - lattice.lo <= margin)), (name, low, lattice.lo)
+            assert np.all(set_hi | (lattice.hi - high <= margin)), (name, high, lattice.hi)
 
 
 @pytest.mark.parametrize(
@@ -633,6 +682,18 @@ def test_coupled_ramp_converges_at_default_tolerance():
     assert abs(z0[0, 0] - problem.analytic_z(0.0, problem.x0)[0, 0]) < 1e-4
 
 
+def test_coupled_problem_without_closed_form_solves_by_ramp():
+    """The cone takes (Y, Z) from the terminal data when there is no closed
+    form, and widens those reaches; at (g, Z = 0) or unwidened, this solve
+    reads past a window.  It lands where the closed-form problem's ramp does
+    (|Y error| 3.1e-4)."""
+    problem = get_problem("example2")
+    bare = dataclasses.replace(problem, analytic_y=None, analytic_z=None)
+    cfg = SolverConfig(k=3, n_steps=12, init_mode="ramp", init_substeps=2)
+    y0, _, _ = solve(bare, cfg)
+    assert abs(y0[0] - problem.analytic_y(0.0, problem.x0)[0]) < 1e-3
+
+
 def test_ramp_initialization_accuracy():
     """Self-starting ramp: one substep is crude, four reach near-exact-init error."""
     problem = get_problem("example1")
@@ -662,8 +723,7 @@ def test_diagnostics_inventory():
     diag = solve(problem, cfg).diagnostics
     for key in (
         "problem", "config", "dt", "h", "r", "gh_points", "lattice_shape",
-        "num_nodes", "radius", "coefficient_bounds", "cone_hop_nodes",
-        "active_halfwidth_first", "levels_marched", "picard_iterations",
+        "num_nodes", "levels_marched", "picard_iterations",
         "picard_iterations_max", "outer_iterations", "outer_iterations_max",
         "ramp_picard_iterations", "ramp_outer_iterations", "wall_time_s",
     ):
