@@ -42,6 +42,7 @@ from .problems import (
 from .stability import StabilityReport, characteristic_polynomial, stability_report
 from .stepper import (
     MissingAnalytic,
+    NonFiniteValue,
     OuterDivergence,
     PicardDivergence,
     SolveResult,
@@ -56,6 +57,7 @@ __all__ = [
     "FbsdeProblem",
     "Lattice",
     "MissingAnalytic",
+    "NonFiniteValue",
     "OutOfDomain",
     "OuterDivergence",
     "PROBLEMS",

@@ -12,19 +12,26 @@ weights (-1)^i·C(r, i) (Berrut & Trefethen, SIAM Review 46, 2004), which
 reproduces polynomials of degree ≤ r up to rounding and returns stored
 values bit-exactly when the query hits a node.
 
-The kernel is stencil-major: stencil weights, gather indices and gathered
-values are laid out with the stencil index outermost and the queries
-innermost, (r+1,)*dim + (queries,) + value shape.  Every array operation then
-runs over many queries contiguously rather than over one short stencil row
-at a time, and each sum over a stencil's r+1 entries adds them in index
-order, one contiguous slab of queries per entry.
+The kernel is stencil-major: stencil weights and gather indices are laid
+out with the stencil index outermost and the queries innermost,
+(r+1,)*dim + (queries,), and the gathered values as (values per node,) +
+(r+1,)*dim + (queries,).  Every array operation then runs over many queries
+contiguously rather than over one short stencil row, or one node's few
+values, at a time, and each sum over a stencil's r+1 entries adds them in
+index order, one contiguous slab of queries per entry.
+
+The kernel's block-sized arrays (node index, stencil weights, gathered block
+and partial axis sums) live in a per-thread workspace that is kept between
+calls, so a solve does not allocate, and have the kernel zero-fill, the same
+pages again for every block.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +40,8 @@ MAX_NODES = 100_000_000
 #: Bytes of stencil values and node indices that one block of queries in
 #: `interpolate_values` gathers; memory stays flat however many queries come.
 #: `fbsde.stepper.conditional_expectations` groups its spans' quadrature
-#: terms by the same budget.
+#: terms by the same budget.  Both take their buffers from `_scratch`, which
+#: keeps one block's worth per thread at the largest budget used so far.
 _BLOCK_BYTES = 2 * 2**20
 
 #: Queries within this fraction of h of a node snap to the stored value, and
@@ -64,11 +72,14 @@ class Lattice:
     h: float
     lo: np.ndarray
     hi: np.ndarray
+    #: Nodes per axis, hi − lo + 1, computed once from ``lo`` and ``hi``.
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "origin", np.atleast_1d(np.asarray(self.origin, float)))
         object.__setattr__(self, "lo", np.atleast_1d(np.asarray(self.lo, int)))
         object.__setattr__(self, "hi", np.atleast_1d(np.asarray(self.hi, int)))
+        object.__setattr__(self, "shape", tuple(int(n) for n in (self.hi - self.lo + 1)))
         if self.h <= 0:
             raise ValueError(f"spacing h must be positive, got {self.h}")
         if np.any(self.hi < self.lo):
@@ -86,12 +97,8 @@ class Lattice:
         return self.origin.size
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(int(n) for n in (self.hi - self.lo + 1))
-
-    @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +166,34 @@ class ValueLevel:
         return self.z.shape[-1]
 
 
+class _Workspace(threading.local):
+    """Buffers by role, one dict per thread."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+
+_workspace = _Workspace()
+
+
+def _scratch(role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A C-contiguous (shape, dtype) view of this thread's buffer for ``role``.
+
+    Each buffer is kept between calls and only grows, so a hot loop that asks
+    for the same sizes again allocates nothing.  Callers ask for at most one
+    block's worth per role, so the workspace holds at most one block's
+    buffers at the largest ``_BLOCK_BYTES`` in use.  The view's contents are
+    undefined, and the next request for ``role`` on this thread overwrites
+    them, so no result that outlives a call may be a view of it.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buffer = _workspace.buffers.get(role)
+    if buffer is None or buffer.size < nbytes:
+        buffer = _workspace.buffers[role] = np.empty(nbytes, np.uint8)
+    return buffer[:nbytes].view(dtype).reshape(shape)
+
+
 @functools.cache
 def _stencil_constants(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only barycentric weights (-1)^i·C(r, i), float offsets 0..r and
@@ -171,30 +206,41 @@ def _stencil_constants(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return weights, float_offsets, offsets
 
 
-def _axis_stencil(u: np.ndarray, r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stencil starts (q,) and normalized barycentric weights (r+1, q) along one axis.
+def _stencil_starts(u: np.ndarray, r: int, lo: int, hi: int) -> np.ndarray:
+    """First index (q,) of each query's degree-r stencil along one axis.
 
     ``u`` is the query in absolute index coordinates.  The stencil is the run
     of r+1 indices nearest u (exact midway ties go to the lower start),
-    clipped into [lo, hi], so near the hull it is one-sided.  The weights are
-    stencil-major, stencil index outermost, so every operation on them runs
-    over the queries contiguously and the normalizing sum adds the r+1
-    entries in index order.  A query within ``NODE_SNAP_TOL`` of its nearest
-    stencil node is a hit and gets one-hot weights.
+    clipped into [lo, hi], so near the hull it is one-sided.
     """
-    bary, offsets, _ = _stencil_constants(r)
     starts = np.ceil(u - r / 2.0 - 0.5).astype(int)
     np.maximum(starts, lo, out=starts)
     np.minimum(starts, hi - r, out=starts)
-    local = u - starts
+    return starts
+
+
+def _stencil_weights(
+    local: np.ndarray, r: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Normalized barycentric weights (r+1, q) at ``local`` = u − start.
+
+    The weights are stencil-major, stencil index outermost, so every
+    operation on them runs over the queries contiguously and the normalizing
+    sum adds the r+1 entries in index order.  A query within
+    ``NODE_SNAP_TOL`` of its nearest stencil node is a hit and gets one-hot
+    weights.  They are written into ``out``, an (r+1, q) float array, when
+    it is given, and into a fresh array otherwise.
+    """
+    bary, offsets, _ = _stencil_constants(r)
+    w = np.subtract(local, offsets, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = bary / (local - offsets)
+        np.divide(bary, w, out=w)
     nearest = np.rint(local)
     hit = np.abs(local - nearest) < NODE_SNAP_TOL
     if np.any(hit):
         w[:, hit] = offsets == nearest[hit]
     w /= np.sum(w, axis=0)
-    return starts, w
+    return w
 
 
 def interpolate_values(
@@ -206,11 +252,16 @@ def interpolate_values(
     """Tensor-product degree-r interpolation of gridded values at many points.
 
     Queries run in blocks whose gather takes at most ``_BLOCK_BYTES`` (one
-    query at least); each result depends on its own query only.
+    query at least); each result depends on its own query only.  A block's
+    node index (whose buffer then takes the stencil weights), gathered values
+    and partial axis sums are written into this thread's `_scratch` buffers,
+    reused from call to call, so a repeated call of the same size allocates
+    nothing block-sized; the result is always a fresh array.
 
     Parameters
     ----------
-    values : array of shape `lattice.shape + rest`
+    values : array of shape `lattice.shape + rest`; any other leading shape
+        raises ValueError
     queries : (Q, dim) physical coordinates inside the lattice hull; a query
         more than ``NODE_SNAP_TOL`` nodes beyond it, or a NaN one, raises
         OutOfDomain naming the axis and the overhang in nodes.  Near the
@@ -218,7 +269,7 @@ def interpolate_values(
 
     Returns
     -------
-    (Q,) + rest array of interpolated values.
+    (Q,) + rest array of interpolated values, of the dtype of ``values``.
     """
     if r < 0:
         raise ValueError(f"interpolation degree must be >= 0, got {r}")
@@ -226,9 +277,14 @@ def interpolate_values(
         raise TooFewNodes(
             f"lattice shape {lattice.shape} cannot host a degree-{r} stencil"
         )
+    dim = lattice.dim
+    if values.shape[:dim] != lattice.shape:
+        raise ValueError(
+            f"values of shape {values.shape} do not match lattice shape {lattice.shape}"
+        )
     queries = np.atleast_2d(np.asarray(queries, float))
-    if queries.shape[1] != lattice.dim:
-        raise ValueError(f"queries must be (Q, {lattice.dim}), got {queries.shape}")
+    if queries.shape[1] != dim:
+        raise ValueError(f"queries must be (Q, {dim}), got {queries.shape}")
 
     u_all = (queries - lattice.origin) / lattice.h
     overhang = np.maximum(lattice.lo - u_all, u_all - lattice.hi)
@@ -240,37 +296,52 @@ def interpolate_values(
             f"(hull {lattice.bounds[0]} .. {lattice.bounds[1]})"
         )
 
-    rest = values.shape[lattice.dim :]
-    out = np.empty((u_all.shape[0],) + rest, dtype=values.dtype)
-    dim = lattice.dim
-    # Gather through one row-major node index into the flattened grid: a
-    # single-index take is several times faster than a per-axis fancy index,
-    # and the gathered block is then weighted in place.  The arithmetic, and
-    # so every bit of the result, is the same as weighting a fresh copy.
-    # Index, block and weights are stencil-major, shape (r+1,)*dim + (q,) +
-    # rest, so each axis's weighted sum adds contiguous slabs in index order.
-    flat = values.reshape((-1,) + rest)
+    # Gather through one row-major node index into the grid: a single-index
+    # take is several times faster than a per-axis fancy index, and the
+    # gathered block is then weighted in place.  The arithmetic, and so every
+    # bit of the result, is the same as weighting a fresh copy.  Index and
+    # weights are stencil-major, shape (r+1,)*dim + (q,), and the block puts
+    # the values of a node outermost, (values,) + (r+1,)*dim + (q,), so every
+    # multiply and each axis's weighted sum run over contiguous slabs of
+    # queries, adding the stencil's r+1 entries in index order; the last sum
+    # goes straight into the block's rows of the result.  The hull test has
+    # passed and the starts are clamped into [lo, hi − r], so every index is
+    # in range and the take may skip its own check (mode="clip"), which also
+    # lets it write into the buffer without a copy.
+    rest = values.shape[dim:]
+    width = math.prod(rest)
     dtype = np.result_type(values.dtype, np.float64)
+    flat = np.ascontiguousarray(values.reshape(-1, width).T, dtype=dtype)
+    out = np.empty((u_all.shape[0], width), dtype=dtype)
+    # The row-major node index Σ_ax (start_ax − lo_ax + o_ax)·stride_ax is a
+    # fixed table of the offsets' part, shape (r+1,)*dim + (1,), plus one
+    # base per query, so each block writes its index in a single pass.
     offsets = _stencil_constants(r)[2]
-    per_query = (r + 1) ** dim * (math.prod(rest) + 1) * 8
+    strides = [math.prod(lattice.shape[ax + 1 :]) for ax in range(dim)]
+    table = sum(
+        offsets.reshape((1,) * ax + (r + 1,) + (1,) * (dim - ax)) * strides[ax]
+        for ax in range(dim)
+    )
+    lows, highs = lattice.lo.tolist(), lattice.hi.tolist()
+    per_query = (r + 1) ** dim * (width + 1) * 8
     rows = max(1, _BLOCK_BYTES // per_query)
-    tail = (1,) * len(rest)
     for begin in range(0, u_all.shape[0], rows):
         u = u_all[begin : begin + rows]
         q = u.shape[0]
-        node = np.zeros((1,) * dim + (q,), dtype=np.intp)
-        weights = []
-        for ax in range(dim):
-            starts, w = _axis_stencil(u[:, ax], r, int(lattice.lo[ax]), int(lattice.hi[ax]))
-            shape = [1] * dim + [q]
-            shape[ax] = r + 1
-            node = node * lattice.shape[ax] + (
-                starts - int(lattice.lo[ax]) + offsets
-            ).reshape(shape)
-            weights.append(w.reshape((r + 1,) + (1,) * (dim - 1 - ax) + (q,) + tail))
-        block = np.take(flat, node, axis=0).astype(dtype, copy=False)
-        for w in weights:
-            block *= w
-            block = np.sum(block, axis=0)
-        out[begin : begin + rows] = block
-    return out
+        starts = [_stencil_starts(u[:, ax], r, lows[ax], highs[ax]) for ax in range(dim)]
+        base = sum((starts[ax] - lows[ax]) * strides[ax] for ax in range(dim))
+        node = np.add(table, base, out=_scratch("node", (r + 1,) * dim + (q,), np.intp))
+        block = _scratch("block", (width,) + node.shape, dtype)
+        np.take(flat, node, axis=1, out=block, mode="clip")
+        # The index is spent after the gather, and dim·(r+1) ≤ (r+1)^dim for
+        # r ≥ 1, so its buffer takes the weights: one block-sized buffer fewer.
+        spent = _scratch("node", (dim, r + 1, q), float)
+        for ax, w in enumerate(spent):
+            _stencil_weights(u[:, ax] - starts[ax], r, out=w)
+            block *= w.reshape((r + 1,) + (1,) * (dim - 1 - ax) + (q,))
+            sums = (
+                out[begin : begin + q].T if ax == dim - 1
+                else _scratch(f"sums{ax}", (width,) + block.shape[2:], dtype)
+            )
+            block = np.sum(block, axis=1, out=sums)
+    return out.reshape(out.shape[:1] + rest).astype(values.dtype, copy=False)

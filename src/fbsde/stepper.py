@@ -36,7 +36,9 @@ nodes, one-sided near its edge, so values are never extrapolated, clamped, or
 read from uncomputed nodes.  A coupled problem's cone is an estimate, so each
 read checks it: a quadrature point outside the level's window raises
 :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the level, the axis
-and the overhang in nodes.
+and the overhang in nodes.  Every level is checked finite as it seals, and
+every Picard iterate as it is formed: NaN or ±inf raises
+:class:`NonFiniteValue` naming t_n and the node.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ __all__ = [
     "MissingAnalytic",
     "PicardDivergence",
     "OuterDivergence",
+    "NonFiniteValue",
     "euler_points",
     "conditional_expectations",
     "z_update",
@@ -88,6 +91,30 @@ class PicardDivergence(RuntimeError):
 
 class OuterDivergence(RuntimeError):
     """A coupled fixed point (a level's outer loop or the terminal Z) did not converge."""
+
+
+class NonFiniteValue(FloatingPointError):
+    """A level, or an iterate of its implicit Y-update, holds NaN or ±inf."""
+
+
+def _require_finite(name: str, values: np.ndarray, t: float, x: np.ndarray) -> None:
+    """Raise :class:`NonFiniteValue` naming t and the first node of ``x``
+    (P, n) whose row of ``values`` (P rows, node order) is not all finite."""
+    if np.isfinite(values).all():
+        return
+    rows = values.reshape(len(x), -1)
+    i = int(np.argmin(np.isfinite(rows).all(axis=1)))
+    raise NonFiniteValue(f"non-finite {name} at t = {t:.6g}, node x = {x[i]}: {rows[i]}")
+
+
+def _sealed(level: ValueLevel) -> ValueLevel:
+    """``level`` itself, once every Y and Z on it is finite; otherwise
+    :class:`NonFiniteValue` names its t and the first node that is not."""
+    if not (np.isfinite(level.y).all() and np.isfinite(level.z).all()):
+        x = level.lattice.nodes().reshape(-1, level.lattice.dim)
+        _require_finite("Y", level.y, level.t, x)
+        _require_finite("Z", level.z, level.t, x)
+    return level
 
 
 #: Tolerances and iteration caps of the Picard iteration that solves each
@@ -243,6 +270,8 @@ def conditional_expectations(
     P, m, 1+d) with both moments side by side, and the spans are summed in
     groups whose terms fit in ``lattice._BLOCK_BYTES`` (one span at least):
     one :func:`~fbsde.hermite.kahan_sum` per group over contiguous slabs.
+    The terms buffer is this thread's ``lattice._scratch`` buffer, reused
+    from call to call; the returned moments are fresh arrays.
     Each sum is elementwise, so the grouping never changes a bit.  A
     quadrature point outside the lattice of the level it reads raises
     :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the level's t,
@@ -268,7 +297,7 @@ def conditional_expectations(
     out: list[tuple[np.ndarray, np.ndarray]] = []
     for first in range(0, len(window), group):
         spans = window[first : first + group]
-        terms = None
+        terms = _lattice._scratch("terms", (Q, len(spans), P, m, 1 + d), float)
         for s, level in enumerate(spans):
             j = first + s + 1
             nodes, dw = euler_points(x, a_val, b_val, q, j, dt)
@@ -280,8 +309,6 @@ def conditional_expectations(
                     f"query cone too small at t = {t_n:.6g}, span j={j}, reading "
                     f"level t = {level.t:.6g}: {err}"
                 ) from err
-            if terms is None:  # after the first read, so its block is freed
-                terms = np.empty((Q, len(spans), P, m, 1 + d))
             weighted = np.multiply(
                 vals.reshape(Q, P, m), w[:, None, None], out=terms[:, s, :, :, 0]
             )
@@ -326,7 +353,8 @@ def y_update(
     Iterates Y ← −(rhs + Δt·f)/c0 from ``y_seed`` and returns the first
     iterate whose update falls below ``_PICARD_TOL`` (absolute, plus relative
     in the same factor) at every point, so a seed that already solves the
-    relation comes back unchanged; raises :class:`PicardDivergence` after
+    relation comes back unchanged; raises :class:`NonFiniteValue` at the
+    first iterate holding NaN or ±inf, and :class:`PicardDivergence` after
     ``_PICARD_MAX`` iterations.  When f is constant in Y the first
     evaluation already lands on the fixed point and the second merely
     confirms it.
@@ -338,6 +366,7 @@ def y_update(
     for it in range(1, _PICARD_MAX + 1):
         f_val = np.asarray(f(t_n, x, y, z_val), float)
         y_new = -(rhs + dt * f_val) / c0
+        _require_finite(f"Y (Picard iterate {it})", y_new, t_n, x)
         delta = np.abs(y_new - y)
         if np.all(delta <= _PICARD_TOL * (1.0 + np.abs(y_new))):
             return y, it
@@ -566,10 +595,11 @@ def _march(
     iterations, outer iterations) as each seals.
 
     Each entry steps on its window from the levels it reads, taken from
-    ``levels`` (schedule index → sealed level), and joins them there; a
-    level is dropped once its last reader has sealed.  Reading ℓ levels uses
-    the weight row k′ = min(k, ℓ), m′ = ℓ+1−k′: (k, m_comb) on a full read,
-    and a growing order on the ramp's short ones.
+    ``levels`` (schedule index → sealed level), and joins them there once
+    its values are checked finite; a level is dropped once its last reader
+    has sealed.  Reading ℓ levels uses the weight row k′ = min(k, ℓ),
+    m′ = ℓ+1−k′: (k, m_comb) on a full read, and a growing order on the
+    ramp's short ones.
     """
     last_reader = {i: e for e, (_, _, reads) in enumerate(schedule) for i in reads}
     rows: dict[tuple[int, int], np.ndarray] = {}
@@ -589,7 +619,7 @@ def _march(
         for i in reads:
             if last_reader[i] == e:
                 del levels[i]
-        levels[e] = level
+        levels[e] = _sealed(level)
         yield level, piters, oiters
 
 
@@ -642,7 +672,8 @@ def initialize_levels(
     which :func:`solve` checks exists.  ``ramp`` mode is self-starting: the
     terminal level takes Y = g and the gradient relation for Z, and the fine
     levels come from the main solve's march loop, so the scheme order grows
-    as history becomes available.
+    as history becomes available.  An initialized level holding NaN or ±inf
+    raises :class:`NonFiniteValue`, as a marched one does.
     """
     main = cfg.n_steps - cfg.k - cfg.m_comb + 2
     before = range(len(schedule) - main)
@@ -656,12 +687,12 @@ def initialize_levels(
         else:
             y = np.asarray(problem.g(X), float)
             z = _terminal_z(problem, X, y)
-        levels[e] = ValueLevel(
+        levels[e] = _sealed(ValueLevel(
             lattice=window,
             t=t,
             y=y.reshape(window.shape + (problem.m,)),
             z=z.reshape(window.shape + (problem.m, problem.d)),
-        )
+        ))
     march = _march(
         problem, cfg, rule, r, schedule, windows, levels, before[len(levels):]
     )
@@ -684,7 +715,9 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     :func:`initialize_levels` computes every level the main march starts
     from, and the march loop it shares with the ramp computes the rest.
     Exact init of a problem without a closed form raises
-    :class:`MissingAnalytic` before any of that.  Returns a
+    :class:`MissingAnalytic` before any of that, and a level or Picard
+    iterate holding NaN or ±inf raises :class:`NonFiniteValue` naming its t
+    and node, so a solve never returns a non-finite value.  Returns a
     :class:`SolveResult` with the (m,)-vector ``y0`` and the (m, d)-matrix
     ``z0`` at x0, plus diagnostics: the resolved discretization, the hull,
     per-level Picard/outer iteration counts of the main march and

@@ -1,6 +1,8 @@
 """Lattice construction and barycentric interpolation."""
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,10 +17,17 @@ from fbsde.lattice import (
     TooFewNodes,
     TooManyNodes,
     ValueLevel,
-    _axis_stencil,
+    _stencil_starts,
+    _stencil_weights,
     build_lattice,
     interpolate_values,
 )
+
+
+def _axis_stencil(u, r, lo, hi):
+    """Stencil starts (q,) and weights (r+1, q) of queries u along one axis."""
+    starts = _stencil_starts(u, r, lo, hi)
+    return starts, _stencil_weights(u - starts, r)
 
 
 def test_build_1d_spans_requested_radius():
@@ -176,6 +185,106 @@ def test_interpolation_memory_is_bounded_by_the_block_budget():
     # One block's gather and indices, the summed block, and the per-query
     # coordinates, overhangs and output (a few times queries.nbytes).
     assert peak < 1.5 * lattice._BLOCK_BYTES + 8 * queries.nbytes
+
+
+def test_repeated_interpolation_allocates_nothing_block_sized():
+    """After a warm-up, a call of the same size reuses the block buffers.
+
+    The 2,000 queries of a 2-D r = 10 gather take three blocks at the
+    default budget; one block's node index alone is 121 × 722 × 8 B ≈ 0.7 MB,
+    while the per-call arrays (coordinates, overhangs, output) are a few
+    times queries.nbytes = 32 kB.
+    """
+    rng = np.random.default_rng(3)
+    lat = build_lattice([0.0, 0.0], 0.05, 1.0, r=10)
+    values = rng.uniform(-1, 1, size=lat.shape + (2,))
+    queries = rng.uniform(-0.9, 0.9, size=(2_000, 2))
+    first = interpolate_values(lat, values, queries, 10)
+    tracemalloc.start()
+    try:
+        second = interpolate_values(lat, values, queries, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, second)
+    rows = lattice._BLOCK_BYTES // (11**2 * 3 * 8)
+    assert peak < 11**2 * rows * 8
+
+
+def test_results_do_not_alias_the_workspace():
+    """A result stays as it was after later calls on other inputs and sizes."""
+    rng = np.random.default_rng(8)
+    lat = build_lattice([0.0, 0.0], 0.05, 1.0, r=6)
+    values = rng.uniform(-1, 1, size=lat.shape + (2,))
+    queries = rng.uniform(-0.9, 0.9, size=(500, 2))
+    got = interpolate_values(lat, values, queries, 6)
+    kept = got.copy()
+    for n in (500, 300, 900):
+        other = interpolate_values(lat, -values, rng.uniform(-0.9, 0.9, size=(n, 2)), 6)
+        assert not np.shares_memory(got, other)
+    assert np.array_equal(got, kept)
+
+
+def test_threads_interpolating_at_once_match_serial_results():
+    """Each thread has its own workspace: four threads (more than the cores
+    of a small machine) interpolating different inputs at once, with the
+    interpreter switching threads as often as it can, get the serial bits."""
+    rng = np.random.default_rng(11)
+    lat = build_lattice([0.0, 0.0], 0.05, 1.0, r=10)
+    inputs = [
+        (rng.uniform(-1, 1, size=lat.shape + (2,)), rng.uniform(-0.9, 0.9, size=(3_000, 2)))
+        for _ in range(4)
+    ]
+    serial = [interpolate_values(lat, values, queries, 10) for values, queries in inputs]
+    results: list[list[np.ndarray]] = [[] for _ in inputs]
+
+    def work(i: int) -> None:
+        for _ in range(5):
+            results[i].append(interpolate_values(lat, *inputs[i], 10))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(serial, results):
+        assert len(got) == 5
+        assert all(np.array_equal(g, want) for g in got)
+
+
+def test_values_must_match_the_lattice_shape():
+    lat = build_lattice([0.0, 0.0], 0.5, [2.0, 1.0])  # shape (9, 5)
+    queries = np.array([[0.0, 0.0]])
+    with pytest.raises(ValueError, match="do not match lattice shape"):
+        interpolate_values(lat, np.zeros((5, 9, 1)), queries, r=2)
+    with pytest.raises(ValueError, match="do not match lattice shape"):
+        interpolate_values(lat, np.zeros(45), queries, r=2)
+    assert interpolate_values(lat, np.ones((9, 5)), queries, r=2).shape == (1,)
+
+
+def test_stencil_weights_go_into_out_when_given():
+    u = np.linspace(-5.6, 5.7, 23)
+    local = u - _stencil_starts(u, 4, -6, 6)
+    w = _stencil_weights(local, 4)
+    buffer = np.empty((5, 23))
+    assert _stencil_weights(local, 4, out=buffer) is buffer
+    assert np.array_equal(buffer, w)
+    strided = np.empty((5, 23, 2))[..., 0]  # how the kernel spreads them
+    assert np.array_equal(_stencil_weights(local, 4, out=strided), w)
+    assert not np.shares_memory(w, _stencil_weights(local, 4))
+
+
+def test_shape_is_computed_once():
+    lat = Lattice(origin=[0.0, 1.0], h=0.5, lo=[-2, -1], hi=[3, 0])
+    assert lat.shape == (6, 2) and all(type(n) is int for n in lat.shape)
+    assert lat.shape is lat.shape
+    assert lat.num_nodes == 12
 
 
 def test_stencil_tie_goes_to_lower_start():

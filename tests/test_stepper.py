@@ -15,6 +15,7 @@ from fbsde.lattice import OutOfDomain, TooManyNodes, ValueLevel, build_lattice
 from fbsde.problems import FbsdeProblem, get_problem
 from fbsde.stepper import (
     MissingAnalytic,
+    NonFiniteValue,
     OuterDivergence,
     PicardDivergence,
     SolveResult,
@@ -306,6 +307,60 @@ def test_expectations_memory_is_bounded_by_the_block_budget(monkeypatch):
     assert peak < 2.5 * span + 8 * points + outputs
 
 
+def _many_component_expectations_args(m=4, spans=6, P=200):
+    """conditional_expectations arguments whose block-sized buffers dwarf
+    the per-call arrays: m = 4 components and 24 quadrature nodes."""
+    lat = build_lattice(0.0, 0.05, 3.0, r=10)
+    X = lat.nodes()
+    window = [
+        ValueLevel(
+            lattice=lat, t=0.1 * s, y=np.cos(X * np.arange(1, m + 1) + s),
+            z=np.zeros(lat.shape + (m, 1)),
+        )
+        for s in range(1, spans + 1)
+    ]
+    problem = _constant_coefficient_problem(a0=0.3, b0=0.5)
+    x = np.linspace(-1.0, 1.0, P)[:, None]
+    return (window, x, 0.0, 0.01, problem, None, None, gauss_hermite_tensor(24, 1), 10)
+
+
+def test_repeated_expectations_allocate_nothing_block_sized():
+    """After a warm-up, a call of the same size reuses the quadrature-term
+    buffer and the interpolation blocks.
+
+    Each span's terms take 24 × 200 × 4 × 2 × 8 B = 0.6 MB, so a group holds
+    three spans (1.8 MB), and one interpolation block gathers 1.7 MB.  The
+    arrays a call makes afresh (points, hull test, values read, the sums and
+    the moments) stay well below either.
+    """
+    args = _many_component_expectations_args()
+    first = conditional_expectations(*args)
+    tracemalloc.start()
+    try:
+        second = conditional_expectations(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for (ey, eyw), (ey2, eyw2) in zip(first, second):
+        assert ey.tobytes() == ey2.tobytes() and eyw.tobytes() == eyw2.tobytes()
+    span = 24 * 200 * 4 * 2 * 8
+    group = (fbsde.lattice._BLOCK_BYTES // span) * span
+    rows = fbsde.lattice._BLOCK_BYTES // (11 * 5 * 8)
+    assert peak < min(group, 11 * rows * 4 * 8)
+
+
+def test_expectations_results_do_not_alias_the_workspace():
+    """Moments stay as they were after later calls on other inputs."""
+    args = _many_component_expectations_args()
+    got = conditional_expectations(*args)
+    kept = [(ey.copy(), eyw.copy()) for ey, eyw in got]
+    for P in (200, 90):
+        window, x = _many_component_expectations_args(P=P)[:2]
+        conditional_expectations(window[::-1], 0.5 * x, *args[2:])
+    for (ey, eyw), (ey0, eyw0) in zip(got, kept):
+        assert np.array_equal(ey, ey0) and np.array_equal(eyw, eyw0)
+
+
 def test_z_update_weights_and_scales_moments():
     eyw = [np.full((1, 1, 1), 0.4), np.full((1, 1, 1), -0.1)]
     coeffs = np.array([99.0, 2.0, 3.0])
@@ -377,6 +432,58 @@ def test_y_update_reports_divergence():
                  y_seed=np.ones((1, 1)))
     assert "did not converge" in str(err.value)
     assert "0.25" in str(err.value)
+
+
+def test_y_update_raises_at_the_first_non_finite_iterate():
+    calls = []
+
+    def f(t, xx, y, zz):
+        calls.append(1)
+        return np.where(xx > 0.0, np.nan, 0.0)
+
+    x = np.array([[-0.5], [0.25], [0.75]])
+    with pytest.raises(NonFiniteValue) as err:
+        y_update(np.ones((3, 1)), c0=1.0, dt=0.1, t_n=0.3, x=x, z_val=np.zeros((3, 1, 1)),
+                 f=f, y_seed=np.zeros((3, 1)))
+    assert len(calls) == 1
+    message = str(err.value)
+    assert "Picard iterate 1" in message
+    assert "t = 0.3" in message and "node x = [0.25]" in message
+
+
+def test_solve_reports_a_driver_that_turns_nan():
+    """f is NaN below t = 0.2: the first level there, t = 0.125, raises in
+    its first Picard iterate instead of running to the iteration cap."""
+    base = _constant_coefficient_problem(analytic=True)
+
+    def f(t, x, y, z):
+        return np.full_like(y, np.nan if t < 0.2 else 0.0)
+
+    with pytest.raises(NonFiniteValue) as err:
+        solve(dataclasses.replace(base, f=f), SolverConfig(k=3, n_steps=8))
+    message = str(err.value)
+    assert "Picard iterate 1" in message
+    assert "t = 0.125" in message and "node x =" in message
+
+
+@pytest.mark.parametrize("component", ["Y", "Z"])
+def test_solve_reports_a_closed_form_that_is_infinite_at_one_node(component):
+    """The closed form is inf at x = 0 from t = 0.875 down: the initialized
+    level there raises as it seals, naming t, the node and the component."""
+    base = _constant_coefficient_problem(analytic=True)
+    closed = {"Y": base.analytic_y, "Z": base.analytic_z}[component]
+
+    def infinite_at_origin(t, x):
+        values = np.array(closed(t, x), dtype=float)
+        if t < 0.9:
+            values[x[..., 0] == 0.0] = np.inf
+        return values
+
+    field = {"Y": "analytic_y", "Z": "analytic_z"}[component]
+    problem = dataclasses.replace(base, **{field: infinite_at_origin})
+    with pytest.raises(NonFiniteValue) as err:
+        solve(problem, SolverConfig(k=3, n_steps=8))
+    assert f"non-finite {component} at t = 0.875, node x = [0.]" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
