@@ -113,18 +113,17 @@ def gauss_hermite_tensor(npoints: int, dim: int) -> TensorRule:
     return TensorRule(dim=dim, base=gauss_hermite(npoints))
 
 
-def kahan_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Compensated summation along an axis, in index order.
+def kahan_sum(terms: np.ndarray) -> np.ndarray:
+    """Compensated summation along axis 0, in index order.
 
     Uses the Kahan–Babuška–Neumaier variant, which stays accurate under
     heavy cancellation (terms of mixed sign and similar magnitude), not
     just when adding small terms to a large running total.
     """
     terms = np.asarray(terms, dtype=float)
-    moved = np.moveaxis(terms, axis, 0)
-    total = np.zeros(moved.shape[1:])
+    total = np.zeros(terms.shape[1:])
     comp = np.zeros_like(total)
-    for t in moved:
+    for t in terms:
         s = total + t
         big = np.abs(total) >= np.abs(t)
         comp = comp + np.where(big, (total - s) + t, (t - s) + total)
@@ -149,4 +148,4 @@ def gaussian_expectation(rule: QuadratureRule1D | TensorRule, g: Callable) -> np
         dim = rule.dim
     vals = np.asarray(g(pts), dtype=float)
     terms = vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
-    return kahan_sum(terms, axis=0) * math.pi ** (-dim / 2.0)
+    return kahan_sum(terms) * math.pi ** (-dim / 2.0)

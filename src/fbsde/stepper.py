@@ -7,9 +7,9 @@ computed from a window of k+m−1 already-sealed future levels:
 * conditional expectations E[Y^{n+j}] and E[Y^{n+j} ΔWᵀ] are evaluated with
   Gauss–Hermite quadrature along one-shot Euler predictors of the forward
   process; the coefficients a, b are frozen at (t_n, x, Y, Z) and evaluated
-  once per pass for all k+m−1 spans,
-* the martingale component Z^n comes from an explicit weighted combination of
-  the E[Y ΔWᵀ] terms,
+  once per pass for all k+m−1 spans; both moments come in one array,
+* one weighted sum of it gives the martingale component Z^n explicitly and
+  the known part of the implicit Y relation,
 * Y^n solves the implicit multi-step relation by Picard iteration.
 
 One step function computes a level.  With a, b ignoring (Y, Z) a single
@@ -258,7 +258,7 @@ def conditional_expectations(
     z: np.ndarray | None,
     rule: TensorRule,
     r: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> np.ndarray:
     """(E[Y^{n+j}], E[Y^{n+j} ΔWᵀ]) for j = 1..len(window), batched over x.
 
     ``window[j-1]`` holds sealed level n+j, interpolated on its own lattice.
@@ -271,7 +271,7 @@ def conditional_expectations(
     groups whose terms fit in ``lattice._BLOCK_BYTES`` (one span at least):
     one :func:`~fbsde.hermite.kahan_sum` per group over contiguous slabs.
     The terms buffer is this thread's ``lattice._scratch`` buffer, reused
-    from call to call; the returned moments are fresh arrays.
+    from call to call; the returned moments are a fresh array.
     Each sum is elementwise, so the grouping never changes a bit.  A
     quadrature point outside the lattice of the level it reads raises
     :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the level's t,
@@ -283,7 +283,8 @@ def conditional_expectations(
 
     Returns
     -------
-    One (E[Y^{n+j}], E[Y^{n+j} ΔWᵀ]) pair per span, shapes (P, m), (P, m, d).
+    (spans, P, m, 1+d) moments: ``[j-1, ..., 0]`` is E[Y^{n+j}] and
+    ``[j-1, ..., 1:]`` is E[Y^{n+j} ΔWᵀ].
     """
     P = x.shape[0]
     m = window[0].m
@@ -294,7 +295,7 @@ def conditional_expectations(
     Q, d = q.shape
     span_bytes = Q * P * m * (1 + d) * 8
     group = max(1, _lattice._BLOCK_BYTES // span_bytes)
-    out: list[tuple[np.ndarray, np.ndarray]] = []
+    moments = np.empty((len(window), P, m, 1 + d))
     for first in range(0, len(window), group):
         spans = window[first : first + group]
         terms = _lattice._scratch("terms", (Q, len(spans), P, m, 1 + d), float)
@@ -315,26 +316,21 @@ def conditional_expectations(
             np.multiply(
                 weighted[..., None], dw[:, None, None, :], out=terms[:, s, :, :, 1:]
             )
-        sums = kahan_sum(terms)
-        out.extend(
-            (norm * sums[s, ..., 0], norm * sums[s, ..., 1:]) for s in range(len(spans))
-        )
-    return out
+        np.multiply(norm, kahan_sum(terms), out=moments[first : first + len(spans)])
+    return moments
 
 
-def z_update(
-    eyw_terms: Sequence[np.ndarray], coeffs: np.ndarray, dt: float
-) -> np.ndarray:
-    """Explicit martingale update Z^n = (1/Δt)·Σ_{j≥1} c_j·E[Y^{n+j} ΔWᵀ].
+def z_update(moments: np.ndarray, coeffs: np.ndarray, dt: float) -> np.ndarray:
+    """(rhs, Z^n) in one (P, m, 1+d) array from one compensated sum over j ≥ 1.
 
-    ``eyw_terms[j-1]`` is E[Y^{n+j} ΔWᵀ] (shape (P, m, d)); ``coeffs`` holds
-    the scaled window-sum weights c_0..c_{k+m−1}, of which entry 0 multiplies
-    the unknown level and is not used here.  No iteration is involved.
+    ``[..., 0]`` is rhs = Σ c_j·E[Y^{n+j}] and ``[..., 1:]`` the explicit
+    Z^n = (1/Δt)·Σ c_j·E[Y^{n+j} ΔWᵀ], with ``moments`` as returned by
+    :func:`conditional_expectations` and ``coeffs`` the scaled window sums
+    c_0..c_{k+m−1}; c_0 multiplies the unknown level and is not used here.
     """
-    terms = np.stack(
-        [coeffs[j] * eyw_terms[j - 1] for j in range(1, len(eyw_terms) + 1)]
-    )
-    return kahan_sum(terms) / dt
+    sums = kahan_sum(coeffs[1:, None, None, None] * moments)
+    sums[..., 1:] /= dt
+    return sums
 
 
 def y_update(
@@ -432,7 +428,9 @@ def step_coupled(
     depth-1 Anderson step of :func:`_anderson_step` after later ones; on
     ``example2`` this cuts about 31 passes per level to 6.  After
     ``_OUTER_MAX`` passes it raises :class:`OuterDivergence`, naming the
-    node with the largest relative change in the last pass.
+    node with the largest relative change in the last pass.  Iterates keep
+    the moments' (P, m, 1+d) layout; the Y-update overwrites the rhs slot
+    of :func:`z_update`'s array with Y.
 
     Returns (level on ``target``, Picard iterations of the last pass, outer
     iterations); the outer count is 0 for a decoupled problem, which runs no
@@ -443,31 +441,29 @@ def step_coupled(
     seed = tuple(slice(int(o), int(o) + n) for o, n in zip(offset, target.shape))
     X = target.nodes().reshape(-1, target.dim)
     P = X.shape[0]
-    y_cur = near.y[seed].reshape(-1, near.m)
-    z_cur = near.z[seed].reshape(-1, near.m, near.d)
+    cur = np.concatenate([near.y[seed][..., None], near.z[seed]], axis=-1)
+    cur = cur.reshape(P, near.m, 1 + near.d)
     g_prev = f_prev = None
     for outer in range(1, _OUTER_MAX + 1):
-        pairs = conditional_expectations(
-            window, X, t_n, dt, problem, y_cur, z_cur, rule, r
+        moments = conditional_expectations(
+            window, X, t_n, dt, problem, cur[..., 0], cur[..., 1:], rule, r
         )
-        z_new = z_update([p[1] for p in pairs], coeffs, dt)
-        rhs = kahan_sum(
-            np.stack([coeffs[j] * pairs[j - 1][0] for j in range(1, len(pairs) + 1)])
+        new = z_update(moments, coeffs, dt)
+        new[..., 0], iters = y_update(
+            new[..., 0], coeffs[0], dt, t_n, X, new[..., 1:], problem.f, cur[..., 0]
         )
-        y_new, iters = y_update(rhs, coeffs[0], dt, t_n, X, z_new, problem.f, y_cur)
         if not problem.coupled:
             break
         # Each node's (Y, Z) image g and residual f; the test is y_update's,
         # every component's change relative to its new value.
-        g = np.concatenate([y_new, z_new.reshape(P, -1)], axis=1)
-        f = g - np.concatenate([y_cur, z_cur.reshape(P, -1)], axis=1)
+        g = new.reshape(P, -1)
+        f = g - cur.reshape(P, -1)
         change = np.max(np.abs(f) / (1.0 + np.abs(g)), axis=1)
         if np.all(change <= _OUTER_TOL):
             break
         x_next = g if g_prev is None else _anderson_step(g, f, g_prev, f_prev)
         g_prev, f_prev = g, f
-        y_cur = x_next[:, : near.m]
-        z_cur = x_next[:, near.m :].reshape(P, near.m, near.d)
+        cur = x_next.reshape(P, near.m, 1 + near.d)
     else:
         worst = int(np.argmax(change))
         raise OuterDivergence(
@@ -478,8 +474,8 @@ def step_coupled(
     level = ValueLevel(
         lattice=target,
         t=t_n,
-        y=y_new.reshape(target.shape + (near.m,)),
-        z=z_new.reshape(target.shape + (near.m, near.d)),
+        y=new[..., 0].reshape(target.shape + (near.m,)),
+        z=new[..., 1:].reshape(target.shape + (near.m, near.d)),
     )
     return level, iters, outer if problem.coupled else 0
 
@@ -569,11 +565,8 @@ def _cone(
         keep_hi[reads[0]] = np.maximum(keep_hi[reads[0]], hi)
         X = windows[e].nodes().reshape(-1, problem.n)
         y = z = None
-        if problem.coupled and problem.has_analytic:
-            y, z = problem.analytic_y(t, X), problem.analytic_z(t, X)
-        elif problem.coupled:
-            y = np.asarray(problem.g(X), float)
-            z = _terminal_z(problem, X, y)
+        if problem.coupled:
+            y, z = _unmarched_yz(problem, t, X, problem.has_analytic)
         a_val = np.asarray(problem.a(t, X, y, z), float)
         b_sum = np.sum(np.abs(np.asarray(problem.b(t, X, y, z), float)), axis=-1)
         j_dt = np.arange(1, len(reads) + 1)[:, None, None] * dt  # a row per span j
@@ -627,11 +620,17 @@ def _march(
 # Initialization
 # ---------------------------------------------------------------------------
 
-def _terminal_z(problem: FbsdeProblem, X: np.ndarray, y_term: np.ndarray) -> np.ndarray:
-    """Terminal Z(T, x) = ∇g(x)·b(T, x, g(x), Z) via FD gradient + fixed point.
-
-    Raises :class:`OuterDivergence` after ``_OUTER_MAX`` passes.
-    """
+def _unmarched_yz(
+    problem: FbsdeProblem, t: float, X: np.ndarray, closed_form: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, Z) at (t, X) of a level no march computes: the closed form, or else
+    the terminal data Y = g(x) and Z = ∇g(x)·b(T, x, g(x), Z) by an FD
+    gradient and a fixed point (:class:`OuterDivergence` after ``_OUTER_MAX``
+    passes)."""
+    if closed_form:
+        y, z = problem.analytic_y(t, X), problem.analytic_z(t, X)
+        return np.asarray(y, float), np.asarray(z, float)
+    y_term = np.asarray(problem.g(X), float)
     P, n = X.shape
     step = 1e-6
     grad = np.empty((P, problem.m, n))
@@ -645,7 +644,7 @@ def _terminal_z(problem: FbsdeProblem, X: np.ndarray, y_term: np.ndarray) -> np.
         z_new = np.einsum("pmn,pnd->pmd", grad, b_val)
         change = np.abs(z_new - z)
         if np.max(change) < 1e-13:
-            return z_new
+            return y_term, z_new
         z = z_new
     worst = int(np.argmax(np.max(change.reshape(P, -1), axis=-1)))
     raise OuterDivergence(
@@ -662,8 +661,9 @@ def initialize_levels(
     r: int,
     schedule: Sequence[Entry],
     windows: Sequence[Lattice],
+    main: int,
 ) -> tuple[dict[int, ValueLevel], list[tuple[int, int]]]:
-    """Compute every schedule entry before the main march's levels.
+    """Compute schedule entries 0..main−1, every one before the main march.
 
     Returns the sealed levels the main march starts from, by schedule index,
     and the (Picard, outer) iteration counts of each ramp level in marching
@@ -675,18 +675,11 @@ def initialize_levels(
     as history becomes available.  An initialized level holding NaN or ±inf
     raises :class:`NonFiniteValue`, as a marched one does.
     """
-    main = cfg.n_steps - cfg.k - cfg.m_comb + 2
-    before = range(len(schedule) - main)
     levels: dict[int, ValueLevel] = {}
-    for e in (e for e in before if not schedule[e][2]):
+    for e in (e for e in range(main) if not schedule[e][2]):
         t, window = schedule[e][0], windows[e]
         X = window.nodes().reshape(-1, window.dim)
-        if cfg.init_mode == "exact":
-            y = np.asarray(problem.analytic_y(t, X), float)
-            z = np.asarray(problem.analytic_z(t, X), float)
-        else:
-            y = np.asarray(problem.g(X), float)
-            z = _terminal_z(problem, X, y)
+        y, z = _unmarched_yz(problem, t, X, cfg.init_mode == "exact")
         levels[e] = _sealed(ValueLevel(
             lattice=window,
             t=t,
@@ -694,7 +687,7 @@ def initialize_levels(
             z=z.reshape(window.shape + (problem.m, problem.d)),
         ))
     march = _march(
-        problem, cfg, rule, r, schedule, windows, levels, before[len(levels):]
+        problem, cfg, rule, r, schedule, windows, levels, range(len(levels), main)
     )
     counts = [(piters, oiters) for _, piters, oiters in march]
     return levels, counts
@@ -742,11 +735,11 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     half = np.max([np.maximum(-w.lo, w.hi) for w in windows], axis=0)
     lattice = build_lattice(problem.x0, h, half * h, r=r)
 
-    levels, ramp = initialize_levels(problem, cfg, rule, r, schedule, windows)
     marched = cfg.n_steps - k - cfg.m_comb + 2
+    main = len(schedule) - marched
+    levels, ramp = initialize_levels(problem, cfg, rule, r, schedule, windows, main)
     march = _march(
-        problem, cfg, rule, r, schedule, windows, levels,
-        range(len(schedule) - marched, len(schedule)),
+        problem, cfg, rule, r, schedule, windows, levels, range(main, len(schedule))
     )
     picard_per_level: list[int] = []
     outer_per_level: list[int] = []

@@ -160,10 +160,11 @@ def test_euler_points_rejects_nonpositive_span():
 def _expectations(window, x, t_n, j, problem, rule, r):
     """Moments of span j at one point, from the batched all-span evaluation."""
     dt = window[0].t - t_n
-    ey, eyw = conditional_expectations(
+    moments = conditional_expectations(
         window[:j], np.array([[x]]), t_n, dt, problem, None, None, rule, r
-    )[-1]
-    return ey[0], eyw[0]
+    )
+    assert moments.shape == (j, 1, 1, 2)
+    return moments[-1, 0, :, 0], moments[-1, 0, :, 1:]
 
 
 def test_conditional_expectations_constant_field():
@@ -276,8 +277,8 @@ def test_batched_span_sums_match_single_spans_bytewise(monkeypatch, name, cfg):
     assert calls["one group"] == 1
     assert calls["single spans"] == len(window) > 1
     for label in ("default", "one group"):
-        for (ey, eyw), (ey1, eyw1) in zip(results[label], results["single spans"]):
-            assert ey.tobytes() == ey1.tobytes() and eyw.tobytes() == eyw1.tobytes()
+        assert results[label].shape == results["single spans"].shape
+        assert results[label].tobytes() == results["single spans"].tobytes()
 
 
 def test_expectations_memory_is_bounded_by_the_block_budget(monkeypatch):
@@ -298,7 +299,7 @@ def test_expectations_memory_is_bounded_by_the_block_budget(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(out) == len(window) == 6
+    assert out.shape == (6, x.shape[0], 2, 2)
     # One group's terms, one interpolation block (gather and indices), a
     # span's quadrature points and the few arrays of their size that the
     # predictor and the hull test make, and the outputs.
@@ -341,8 +342,8 @@ def test_repeated_expectations_allocate_nothing_block_sized():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    for (ey, eyw), (ey2, eyw2) in zip(first, second):
-        assert ey.tobytes() == ey2.tobytes() and eyw.tobytes() == eyw2.tobytes()
+    assert first.shape == second.shape == (6, 200, 4, 2)
+    assert first.tobytes() == second.tobytes()
     span = 24 * 200 * 4 * 2 * 8
     group = (fbsde.lattice._BLOCK_BYTES // span) * span
     rows = fbsde.lattice._BLOCK_BYTES // (11 * 5 * 8)
@@ -353,23 +354,61 @@ def test_expectations_results_do_not_alias_the_workspace():
     """Moments stay as they were after later calls on other inputs."""
     args = _many_component_expectations_args()
     got = conditional_expectations(*args)
-    kept = [(ey.copy(), eyw.copy()) for ey, eyw in got]
+    kept = got.copy()
     for P in (200, 90):
         window, x = _many_component_expectations_args(P=P)[:2]
         conditional_expectations(window[::-1], 0.5 * x, *args[2:])
-    for (ey, eyw), (ey0, eyw0) in zip(got, kept):
-        assert np.array_equal(ey, ey0) and np.array_equal(eyw, eyw0)
+    assert got.tobytes() == kept.tobytes()
 
 
 def test_z_update_weights_and_scales_moments():
-    eyw = [np.full((1, 1, 1), 0.4), np.full((1, 1, 1), -0.1)]
+    """Slot 0 is rhs = Σ c_j·E[Y], the rest Z = Σ c_j·E[YΔWᵀ]/Δt."""
+    moments = np.array([[[[1.5, 0.4, 0.2]]], [[[-0.5, -0.1, 0.3]]]])  # (2, 1, 1, 1+2)
     coeffs = np.array([99.0, 2.0, 3.0])
-    out = z_update(eyw, coeffs, dt=0.1)
-    assert out[0, 0, 0] == pytest.approx((2.0 * 0.4 + 3.0 * (-0.1)) / 0.1, rel=1e-15)
+    out = z_update(moments, coeffs, dt=0.1)
+    assert out.shape == (1, 1, 3)
+    assert out[0, 0, 0] == pytest.approx(2.0 * 1.5 + 3.0 * (-0.5), rel=1e-15)
+    assert out[0, 0, 1] == pytest.approx((2.0 * 0.4 + 3.0 * (-0.1)) / 0.1, rel=1e-15)
+    assert out[0, 0, 2] == pytest.approx((2.0 * 0.2 + 3.0 * 0.3) / 0.1, rel=1e-15)
     # The unknown-level coefficient c_0 must play no role here.
     coeffs2 = coeffs.copy()
     coeffs2[0] = 0.0
-    assert np.array_equal(out, z_update(eyw, coeffs2, dt=0.1))
+    assert out.tobytes() == z_update(moments, coeffs2, dt=0.1).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, n_steps", [("example1", 8), ("example2", 8)], ids=["decoupled", "coupled"]
+)
+def test_a_pass_sums_its_moments_once_beyond_the_quadrature(monkeypatch, name, n_steps):
+    """Each pass makes one kahan_sum per quadrature group and one more, which
+    weights the moments into the Y relation's rhs and Z together."""
+    events = []
+    kahan, expectations, update = (
+        stepper.kahan_sum, stepper.conditional_expectations, stepper.y_update
+    )
+
+    def counting_kahan(terms):
+        events.append("k")
+        return kahan(terms)
+
+    def recording_expectations(*args):
+        group = max(1, fbsde.lattice._BLOCK_BYTES // _span_bytes(args))
+        events.append(-(-len(args[0]) // group))  # quadrature groups
+        return expectations(*args)
+
+    def recording_update(*args):
+        events.append("y")
+        return update(*args)
+
+    monkeypatch.setattr(stepper, "kahan_sum", counting_kahan)
+    monkeypatch.setattr(stepper, "conditional_expectations", recording_expectations)
+    monkeypatch.setattr(stepper, "y_update", recording_update)
+    _, _, diag = solve(get_problem(name), SolverConfig(k=3, n_steps=n_steps))
+    passes = [i for i, e in enumerate(events) if isinstance(e, int)]
+    assert len(passes) == events.count("y") >= diag["levels_marched"]
+    for start in passes:
+        groups = events[start]
+        assert events[start + 1 : start + groups + 3] == ["k"] * (groups + 1) + ["y"]
 
 
 def test_y_update_is_direct_for_y_independent_drivers():
