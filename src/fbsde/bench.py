@@ -45,9 +45,10 @@ class ExperimentSpec:
     ``m_comb``, ``r``, ``gh_points``, ``init_mode`` and ``init_substeps`` go
     to every cell's :class:`~fbsde.stepper.SolverConfig` unchanged and
     default to its values; ``None`` leaves ``r`` and ``gh_points`` for the
-    solver to derive.  ``r``, ``gh_points`` and ``init_substeps`` are checked
-    up front with :meth:`~fbsde.stepper.SolverConfig.check_integers`, so a
-    bad value stops the sweep before any cell runs.
+    solver to derive.  ``r``, ``gh_points``, ``init_mode`` and
+    ``init_substeps`` are checked up front by the same checks as in
+    :class:`~fbsde.stepper.SolverConfig`, so a bad value stops the sweep
+    before any cell runs.
     """
 
     problem: str
@@ -85,6 +86,7 @@ class ExperimentSpec:
         SolverConfig.check_integers(
             r=self.r, gh_points=self.gh_points, init_substeps=self.init_substeps
         )
+        SolverConfig.check_init_mode(self.init_mode)
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "n_steps", ns)
         object.__setattr__(self, "m_comb", m_comb)
@@ -168,7 +170,8 @@ def run_cell(
     n_steps: int,
     overrides: dict,
 ) -> CellResult:
-    """Solve one (k, n_steps) cell, converting solver failures into status."""
+    """Solve one (k, n_steps) cell, converting solver failures into status;
+    a non-finite value is one, as ``solve`` raises NonFiniteValue for it."""
     try:
         cfg = SolverConfig(k=k, n_steps=n_steps, **overrides)
         t0 = time.perf_counter()
@@ -180,11 +183,6 @@ def run_cell(
             message=f"{type(exc).__name__}: {exc}",
         )
     y_ref, z_ref = _reference(problem)
-    if not (np.all(np.isfinite(result.y0)) and np.all(np.isfinite(result.z0))):
-        return CellResult(
-            k=k, n_steps=n_steps, status="failed",
-            message="solver produced non-finite values",
-        )
     y_err = np.abs(result.y0 - y_ref).tolist() if y_ref is not None else None
     z_err = (
         np.abs(result.z0 - z_ref).ravel().tolist() if z_ref is not None else None

@@ -22,6 +22,7 @@ from .bench import ExperimentSpec, emit_report, run_experiment
 from .fdweights import solve_weights, weights_as_float
 from .hermite import gauss_hermite_tensor
 from .stability import stability_report
+from .stepper import SolverConfig
 
 
 def _write(text: str, out: str | None) -> None:
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--nt", type=_int_list, default=None,
                        help="comma-separated time-step counts, e.g. 16,20,24,28,32")
     p_run.add_argument("--m-comb", dest="m_comb", type=int, default=None,
-                       help=f"combination width (default {ExperimentSpec.m_comb})")
+                       help=f"combination width (default {SolverConfig.m_comb})")
     p_run.add_argument("--r", type=int, default=None,
                        help="interpolation degree (default max(10, k+1))")
     p_run.add_argument("--gh-points", dest="gh_points", type=int, default=None,
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["exact", "ramp"], default=None)
     p_run.add_argument("--init-substeps", dest="init_substeps", type=int, default=None,
                        help="ramp substeps S per time step "
-                            f"(default {ExperimentSpec.init_substeps})")
+                            f"(default {SolverConfig.init_substeps})")
     p_run.add_argument("--config", help="JSON file with run settings (flags override)")
     p_run.add_argument("--budget-seconds", dest="budget_seconds", type=float,
                        default=None,
@@ -205,13 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_w = sub.add_parser("weights", help="print one multi-step weight row")
     p_w.add_argument("--k", type=int, required=True, help="scheme order (steps)")
-    p_w.add_argument("--m", type=int, default=4, help="combination width (default 4)")
+    p_w.add_argument("--m", type=int, default=SolverConfig.m_comb,
+                     help=f"combination width (default {SolverConfig.m_comb})")
     p_w.add_argument("--format", choices=["frac", "float", "csv"], default="frac")
     p_w.add_argument("--out", help="output path (stdout when omitted)")
     p_w.set_defaults(func=_cmd_weights)
 
     p_s = sub.add_parser("stability", help="tabulate root moduli and verdicts")
-    p_s.add_argument("--m", type=int, default=4, help="combination width (default 4)")
+    p_s.add_argument("--m", type=int, default=SolverConfig.m_comb,
+                     help=f"combination width (default {SolverConfig.m_comb})")
     p_s.add_argument("--kmin", type=int, default=1)
     p_s.add_argument("--kmax", type=int, default=9)
     p_s.add_argument("--format", choices=["csv", "md"], default="md")

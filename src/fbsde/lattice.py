@@ -142,28 +142,20 @@ def build_lattice(center, h: float, radius, r: int | None = None) -> Lattice:
 class ValueLevel:
     """Backward-solution snapshot at one time level.
 
-    ``y`` has shape `lattice.shape + (m,)`; ``z`` has `lattice.shape + (m, d)`.
+    ``yz`` has shape `lattice.shape + (m, 1+d)`: Y in slot 0 of the last
+    axis and Z in slots 1..d.
     """
 
     lattice: Lattice
     t: float
-    y: np.ndarray
-    z: np.ndarray
+    yz: np.ndarray
 
     def __post_init__(self) -> None:
         shape = self.lattice.shape
-        if self.y.shape[:-1] != shape or self.y.ndim != len(shape) + 1:
-            raise ValueError(f"y shape {self.y.shape} does not match lattice {shape} + (m,)")
-        if self.z.shape[:-2] != shape or self.z.ndim != len(shape) + 2:
-            raise ValueError(f"z shape {self.z.shape} does not match lattice {shape} + (m, d)")
-
-    @property
-    def m(self) -> int:
-        return self.y.shape[-1]
-
-    @property
-    def d(self) -> int:
-        return self.z.shape[-1]
+        if self.yz.shape[:-2] != shape or self.yz.ndim != len(shape) + 2:
+            raise ValueError(
+                f"yz shape {self.yz.shape} does not match lattice {shape} + (m, 1+d)"
+            )
 
 
 class _Workspace(threading.local):

@@ -1,8 +1,11 @@
 """Backward multi-step time marching for FBSDEs on a spatial lattice.
 
 The solver discretizes [0, T] into `n_steps` uniform levels and marches the
-backward pair (Y, Z) from the terminal level toward t = 0.  Each new level is
-computed from a window of k+m−1 already-sealed future levels:
+backward pair (Y, Z) from the terminal level toward t = 0.  A level stores
+the pair as one array, Y in slot 0 and Z in slots 1..d of its last axis, and
+keeps that layout from initialization or its step's seed through the moments
+and iterates to the sealed level.  Each new level is computed from a window
+of k+m−1 already-sealed future levels:
 
 * conditional expectations E[Y^{n+j}] and E[Y^{n+j} ΔWᵀ] are evaluated with
   Gauss–Hermite quadrature along one-shot Euler predictors of the forward
@@ -108,12 +111,15 @@ def _require_finite(name: str, values: np.ndarray, t: float, x: np.ndarray) -> N
 
 
 def _sealed(level: ValueLevel) -> ValueLevel:
-    """``level`` itself, once every Y and Z on it is finite; otherwise
-    :class:`NonFiniteValue` names its t and the first node that is not."""
-    if not (np.isfinite(level.y).all() and np.isfinite(level.z).all()):
+    """``level`` itself, read-only, once every Y and Z on it is finite;
+    otherwise :class:`NonFiniteValue` names its t and the first node that is
+    not.  Read-only because the next step's first iterate may be a view of
+    it, and every later level reads it."""
+    if not np.isfinite(level.yz).all():
         x = level.lattice.nodes().reshape(-1, level.lattice.dim)
-        _require_finite("Y", level.y, level.t, x)
-        _require_finite("Z", level.z, level.t, x)
+        _require_finite("Y", level.yz[..., 0], level.t, x)
+        _require_finite("Z", level.yz[..., 1:], level.t, x)
+    level.yz.flags.writeable = False
     return level
 
 
@@ -148,8 +154,9 @@ class SolverConfig:
     the spatial error h^(r+1) against the time error Δt^(k+1).  The implicit
     Y-update and the coupled outer loop run to fixed tolerances and
     iteration caps (``_PICARD_TOL``/``_PICARD_MAX``,
-    ``_OUTER_TOL``/``_OUTER_MAX``).  Integer fields are checked when the
-    config is built (:meth:`check_integers`).
+    ``_OUTER_TOL``/``_OUTER_MAX``).  Integer fields and ``init_mode`` are
+    checked when the config is built (:meth:`check_integers`,
+    :meth:`check_init_mode`).
     """
 
     k: int
@@ -167,10 +174,13 @@ class SolverConfig:
                 f"n_steps must be at least k + m_comb - 1 = "
                 f"{self.k + self.m_comb - 1}, got {self.n_steps}"
             )
-        if self.init_mode not in ("exact", "ramp"):
-            raise ValueError(
-                f"init_mode must be 'exact' or 'ramp', got {self.init_mode!r}"
-            )
+        self.check_init_mode(self.init_mode)
+
+    @staticmethod
+    def check_init_mode(init_mode) -> None:
+        """Raise ValueError unless ``init_mode`` is 'exact' or 'ramp'."""
+        if init_mode not in ("exact", "ramp"):
+            raise ValueError(f"init_mode must be 'exact' or 'ramp', got {init_mode!r}")
 
     @staticmethod
     def check_integers(**fields) -> None:
@@ -254,43 +264,43 @@ def conditional_expectations(
     t_n: float,
     dt: float,
     problem: FbsdeProblem,
-    y: np.ndarray | None,
-    z: np.ndarray | None,
+    yz: np.ndarray,
     rule: TensorRule,
     r: int,
 ) -> np.ndarray:
     """(E[Y^{n+j}], E[Y^{n+j} ΔWᵀ]) for j = 1..len(window), batched over x.
 
-    ``window[j-1]`` holds sealed level n+j, interpolated on its own lattice.
-    The forward coefficients are frozen at (t_n, x, y, z) and evaluated once
-    for all spans; decoupled problems accept y = z = None.  The interpolated
-    level values at the quadrature nodes are computed once per (x, j, q) and
-    reused by both moments.  Quadrature sums are compensated and run in fixed
-    q order.  The terms are laid out quadrature index outermost, (Q, spans,
-    P, m, 1+d) with both moments side by side, and the spans are summed in
-    groups whose terms fit in ``lattice._BLOCK_BYTES`` (one span at least):
-    one :func:`~fbsde.hermite.kahan_sum` per group over contiguous slabs.
-    The terms buffer is this thread's ``lattice._scratch`` buffer, reused
-    from call to call; the returned moments are a fresh array.
-    Each sum is elementwise, so the grouping never changes a bit.  A
-    quadrature point outside the lattice of the level it reads raises
+    ``window[j-1]`` holds sealed level n+j, whose Y (slot 0 of its (Y, Z)
+    array) is interpolated on its own lattice.  The forward coefficients
+    are frozen at (t_n, x) and the iterate ``yz`` and evaluated once for all
+    spans.  The interpolated level values at the quadrature nodes are
+    computed once per (x, j, q) and reused by both moments.  Quadrature sums
+    are compensated and run in fixed q order.  The terms are laid out
+    quadrature index outermost, (Q, spans, P, m, 1+d) with both moments side
+    by side, and the spans are summed in groups whose terms fit in
+    ``lattice._BLOCK_BYTES`` (one span at least): one
+    :func:`~fbsde.hermite.kahan_sum` per group over contiguous slabs.  The
+    terms buffer is this thread's ``lattice._scratch`` buffer, reused from
+    call to call; the returned moments are a fresh array.  Each sum is
+    elementwise, so the grouping never changes a bit.  A quadrature point
+    outside the lattice of the level it reads raises
     :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the level's t,
     the axis and the overhang in nodes.
 
     Parameters
     ----------
-    x : (P, n) base points; y : (P, m) or None; z : (P, m, d) or None.
+    x : (P, n) base points; yz : (P, m, 1+d) iterate, Y in slot 0 and Z in
+    slots 1..d.
 
     Returns
     -------
     (spans, P, m, 1+d) moments: ``[j-1, ..., 0]`` is E[Y^{n+j}] and
     ``[j-1, ..., 1:]`` is E[Y^{n+j} ΔWᵀ].
     """
-    P = x.shape[0]
-    m = window[0].m
+    P, m = yz.shape[:2]
     norm = math.pi ** (-rule.dim / 2.0)
-    a_val = np.asarray(problem.a(t_n, x, y, z), float)
-    b_val = np.asarray(problem.b(t_n, x, y, z), float)
+    a_val = np.asarray(problem.a(t_n, x, yz[..., 0], yz[..., 1:]), float)
+    b_val = np.asarray(problem.b(t_n, x, yz[..., 0], yz[..., 1:]), float)
     q, w = rule.points()
     Q, d = q.shape
     span_bytes = Q * P * m * (1 + d) * 8
@@ -304,7 +314,7 @@ def conditional_expectations(
             nodes, dw = euler_points(x, a_val, b_val, q, j, dt)
             flat = nodes.reshape(-1, level.lattice.dim)
             try:
-                vals = interpolate_values(level.lattice, level.y, flat, r)
+                vals = interpolate_values(level.lattice, level.yz[..., 0], flat, r)
             except OutOfDomain as err:
                 raise OutOfDomain(
                     f"query cone too small at t = {t_n:.6g}, span j={j}, reading "
@@ -429,8 +439,10 @@ def step_coupled(
     ``example2`` this cuts about 31 passes per level to 6.  After
     ``_OUTER_MAX`` passes it raises :class:`OuterDivergence`, naming the
     node with the largest relative change in the last pass.  Iterates keep
-    the moments' (P, m, 1+d) layout; the Y-update overwrites the rhs slot
-    of :func:`z_update`'s array with Y.
+    the levels' and the moments' (P, m, 1+d) layout: the first is a slice of
+    level n+1's array, the Y-update overwrites the rhs slot of
+    :func:`z_update`'s array with Y, and the level seals as a reshape of
+    the last one.
 
     Returns (level on ``target``, Picard iterations of the last pass, outer
     iterations); the outer count is 0 for a decoupled problem, which runs no
@@ -441,13 +453,11 @@ def step_coupled(
     seed = tuple(slice(int(o), int(o) + n) for o, n in zip(offset, target.shape))
     X = target.nodes().reshape(-1, target.dim)
     P = X.shape[0]
-    cur = np.concatenate([near.y[seed][..., None], near.z[seed]], axis=-1)
-    cur = cur.reshape(P, near.m, 1 + near.d)
+    layout = near.yz.shape[-2:]  # (m, 1+d)
+    cur = near.yz[seed].reshape(P, *layout)
     g_prev = f_prev = None
     for outer in range(1, _OUTER_MAX + 1):
-        moments = conditional_expectations(
-            window, X, t_n, dt, problem, cur[..., 0], cur[..., 1:], rule, r
-        )
+        moments = conditional_expectations(window, X, t_n, dt, problem, cur, rule, r)
         new = z_update(moments, coeffs, dt)
         new[..., 0], iters = y_update(
             new[..., 0], coeffs[0], dt, t_n, X, new[..., 1:], problem.f, cur[..., 0]
@@ -463,7 +473,7 @@ def step_coupled(
             break
         x_next = g if g_prev is None else _anderson_step(g, f, g_prev, f_prev)
         g_prev, f_prev = g, f
-        cur = x_next.reshape(P, near.m, 1 + near.d)
+        cur = x_next.reshape(P, *layout)
     else:
         worst = int(np.argmax(change))
         raise OuterDivergence(
@@ -471,12 +481,7 @@ def step_coupled(
             f"at t = {t_n:.6g}, node x = {X[worst]} "
             f"(last change {float(change[worst]):.3e} relative, tol {_OUTER_TOL:.1e})"
         )
-    level = ValueLevel(
-        lattice=target,
-        t=t_n,
-        y=new[..., 0].reshape(target.shape + (near.m,)),
-        z=new[..., 1:].reshape(target.shape + (near.m, near.d)),
-    )
+    level = ValueLevel(lattice=target, t=t_n, yz=new.reshape(target.shape + layout))
     return level, iters, outer if problem.coupled else 0
 
 
@@ -566,7 +571,8 @@ def _cone(
         X = windows[e].nodes().reshape(-1, problem.n)
         y = z = None
         if problem.coupled:
-            y, z = _unmarched_yz(problem, t, X, problem.has_analytic)
+            yz = _unmarched_yz(problem, t, X, problem.has_analytic)
+            y, z = yz[..., 0], yz[..., 1:]
         a_val = np.asarray(problem.a(t, X, y, z), float)
         b_sum = np.sum(np.abs(np.asarray(problem.b(t, X, y, z), float)), axis=-1)
         j_dt = np.arange(1, len(reads) + 1)[:, None, None] * dt  # a row per span j
@@ -622,30 +628,30 @@ def _march(
 
 def _unmarched_yz(
     problem: FbsdeProblem, t: float, X: np.ndarray, closed_form: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, Z) at (t, X) of a level no march computes: the closed form, or else
-    the terminal data Y = g(x) and Z = ∇g(x)·b(T, x, g(x), Z) by an FD
-    gradient and a fixed point (:class:`OuterDivergence` after ``_OUTER_MAX``
-    passes)."""
-    if closed_form:
-        y, z = problem.analytic_y(t, X), problem.analytic_z(t, X)
-        return np.asarray(y, float), np.asarray(z, float)
-    y_term = np.asarray(problem.g(X), float)
+) -> np.ndarray:
+    """(Y, Z) at (t, X) of a level no march computes, as one (P, m, 1+d)
+    array with Y in slot 0: the closed form, or else the terminal data
+    Y = g(x) and Z = ∇g(x)·b(T, x, g(x), Z) by an FD gradient and a fixed
+    point (:class:`OuterDivergence` after ``_OUTER_MAX`` passes)."""
     P, n = X.shape
+    yz = np.zeros((P, problem.m, 1 + problem.d))
+    if closed_form:
+        yz[..., 0], yz[..., 1:] = problem.analytic_y(t, X), problem.analytic_z(t, X)
+        return yz
+    yz[..., 0] = problem.g(X)
     step = 1e-6
     grad = np.empty((P, problem.m, n))
     for i in range(n):
         e = np.zeros(n)
         e[i] = step
         grad[:, :, i] = (problem.g(X + e) - problem.g(X - e)) / (2.0 * step)
-    z = np.zeros((P, problem.m, problem.d))
     for _ in range(_OUTER_MAX):
-        b_val = np.asarray(problem.b(problem.T, X, y_term, z), float)
+        b_val = np.asarray(problem.b(problem.T, X, yz[..., 0], yz[..., 1:]), float)
         z_new = np.einsum("pmn,pnd->pmd", grad, b_val)
-        change = np.abs(z_new - z)
+        change = np.abs(z_new - yz[..., 1:])
+        yz[..., 1:] = z_new
         if np.max(change) < 1e-13:
-            return y_term, z_new
-        z = z_new
+            return yz
     worst = int(np.argmax(np.max(change.reshape(P, -1), axis=-1)))
     raise OuterDivergence(
         f"terminal Z fixed point did not converge in {_OUTER_MAX} "
@@ -679,13 +685,10 @@ def initialize_levels(
     for e in (e for e in range(main) if not schedule[e][2]):
         t, window = schedule[e][0], windows[e]
         X = window.nodes().reshape(-1, window.dim)
-        y, z = _unmarched_yz(problem, t, X, cfg.init_mode == "exact")
-        levels[e] = _sealed(ValueLevel(
-            lattice=window,
-            t=t,
-            y=y.reshape(window.shape + (problem.m,)),
-            z=z.reshape(window.shape + (problem.m, problem.d)),
-        ))
+        yz = _unmarched_yz(problem, t, X, cfg.init_mode == "exact")
+        levels[e] = _sealed(
+            ValueLevel(lattice=window, t=t, yz=yz.reshape(window.shape + yz.shape[1:]))
+        )
     march = _march(
         problem, cfg, rule, r, schedule, windows, levels, range(len(levels), main)
     )
@@ -748,8 +751,8 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
         if oiters:
             outer_per_level.append(oiters)
 
-    y0 = level.y.reshape(problem.m)
-    z0 = level.z.reshape(problem.m, problem.d)
+    yz0 = level.yz.reshape(problem.m, 1 + problem.d)
+    y0, z0 = yz0[:, 0].copy(), yz0[:, 1:].copy()
     diagnostics = {
         "problem": problem.name,
         "config": asdict(cfg),

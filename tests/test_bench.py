@@ -1,6 +1,7 @@
 """Experiment sweeps, rate fitting, and report serialization."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import asdict
 
@@ -75,6 +76,8 @@ def test_spec_validation():
         ExperimentSpec(problem="example1", init_substeps=0)
     with pytest.raises(TypeError, match="init_substeps must be an integer"):
         ExperimentSpec(problem="example1", init_substeps=2.0)
+    with pytest.raises(ValueError, match="init_mode must be 'exact' or 'ramp', got 'Ramp'"):
+        ExperimentSpec(problem="example1", init_mode="Ramp")
 
 
 def test_spec_cells_sorted_and_overrides():
@@ -179,6 +182,18 @@ def test_run_cell_converts_failures_to_status():
     cell = run_cell(problem, 3, 8, {"r": -3})
     assert cell.status == "failed"
     assert cell.message and cell.y0 is None
+
+
+def test_run_cell_records_a_nan_driver_as_failed():
+    """The solve raises NonFiniteValue at the first NaN, and the cell keeps
+    it as its failure instead of any y0 or z0."""
+    problem = dataclasses.replace(
+        get_problem("example1"), f=lambda t, x, y, z: np.full_like(y, np.nan)
+    )
+    cell = run_cell(problem, 3, 8, {})
+    assert cell.status == "failed"
+    assert cell.message.startswith("NonFiniteValue: ")
+    assert cell.y0 is None and cell.z0 is None
 
 
 def test_cellresult_defaults():

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import fbsde
-from fbsde.cli import main
+from fbsde.cli import build_parser, main
+from fbsde.stepper import SolverConfig
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +30,13 @@ def test_weights_fractions_default_width(capsys):
     code, out, _ = run_cli(capsys, "weights", "--k", "3")
     assert code == 0
     assert out.strip() == "-4/3 3 -9/4 7/12"
+
+
+@pytest.mark.parametrize("argv", [["weights", "--k", "3"], ["stability"]])
+def test_combination_width_defaults_to_the_solver_config(argv):
+    """weights and stability take their --m default from SolverConfig.m_comb,
+    as run does through ExperimentSpec."""
+    assert build_parser().parse_args(argv).m == SolverConfig.m_comb
 
 
 def test_weights_fractions_k9(capsys):
@@ -267,11 +275,13 @@ def test_run_config_unreadable(capsys):
         {"problem": "example1", "nt": [8], "m_comb": True},
         {"problem": "example1", "nt": [8], "init_substeps": 0},
         {"problem": "example1", "nt": [8], "init_substeps": True},
+        {"problem": "example1", "nt": [8], "init_mode": "Ramp"},
     ],
     ids=[
         "k-not-integers", "k-not-a-list", "m_comb-string", "problem-not-a-string",
         "bad-format", "not-an-object", "r-string", "r-float", "r-zero",
         "gh_points-zero", "m_comb-bool", "init_substeps-zero", "init_substeps-bool",
+        "init_mode-unknown",
     ],
 )
 def test_run_config_wrong_value_is_clean_error(tmp_path, capsys, settings):

@@ -108,6 +108,24 @@ def test_node_queries_return_stored_values_bitwise():
     assert np.array_equal(got, values)
 
 
+@pytest.mark.parametrize(
+    "center, radius, m", [(0.2, 1.0, 1), ([0.1, -0.2], [0.6, 0.4], 2)], ids=["1d-m1", "2d-m2"]
+)
+def test_strided_values_interpolate_like_a_contiguous_copy(center, radius, m):
+    """Y handed over as the slot-0 view of a level's (Y, Z) array, which is
+    not contiguous, gives the bytes of interpolating a contiguous copy."""
+    rng = np.random.default_rng(3)
+    lat = build_lattice(center, 0.05, radius, r=6)
+    yz = rng.uniform(-2, 2, size=lat.shape + (m, 3))
+    view = yz[..., 0]
+    assert not view.flags.c_contiguous
+    queries = lat.origin + rng.uniform(-0.3, 0.3, size=(50, lat.dim))
+    got = interpolate_values(lat, view, queries, r=6)
+    want = interpolate_values(lat, np.ascontiguousarray(view), queries, r=6)
+    assert got.shape == (50, m)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gather_matches_per_axis_weighting_bitwise(monkeypatch):
     # Reference: index each axis separately, weight a fresh copy, sum axis by
     # axis, all in the stencil-major layout (stencil axes first, then the
@@ -335,14 +353,12 @@ def test_nearest_node_rule_at_degree_zero():
 
 def test_value_level_shape_validation():
     lat = build_lattice(0.0, 0.5, 1.0)
-    y = np.zeros(lat.shape + (2,))
-    z = np.zeros(lat.shape + (2, 3))
-    level = ValueLevel(lattice=lat, t=0.5, y=y, z=z)
-    assert level.m == 2 and level.d == 3
+    level = ValueLevel(lattice=lat, t=0.5, yz=np.zeros(lat.shape + (2, 4)))
+    assert level.yz.shape == lat.shape + (2, 4)
     with pytest.raises(ValueError):
-        ValueLevel(lattice=lat, t=0.0, y=np.zeros((7, 2)), z=z)
+        ValueLevel(lattice=lat, t=0.0, yz=np.zeros((7, 2, 4)))
     with pytest.raises(ValueError):
-        ValueLevel(lattice=lat, t=0.0, y=y, z=np.zeros(lat.shape + (2,)))
+        ValueLevel(lattice=lat, t=0.0, yz=np.zeros(lat.shape + (2,)))
 
 
 def test_interpolation_error_shrinks_at_expected_order():

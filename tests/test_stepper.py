@@ -58,16 +58,21 @@ def _constant_coefficient_problem(a0=0.7, b0=0.5, analytic=False, const=2.5):
     )
 
 
+def _level(lattice, t, y, z):
+    """A level holding Y and Z in its one (Y, Z) array."""
+    return ValueLevel(lattice=lattice, t=t, yz=np.concatenate([y[..., None], z], axis=-1))
+
+
 def _window(lattice, times, yfun):
     """Hand-built ascending window of sealed levels with Z ≡ 0."""
     X = lattice.nodes()
-    return [
-        ValueLevel(
-            lattice=lattice, t=t, y=yfun(t, X),
-            z=np.zeros(lattice.shape + (1, 1)),
-        )
-        for t in times
-    ]
+    return [_level(lattice, t, yfun(t, X), np.zeros(lattice.shape + (1, 1))) for t in times]
+
+
+def _iterate(x, m=1):
+    """A zero (Y, Z) iterate at the points x, shape (P, m, 1+d) with d = 1;
+    decoupled problems' coefficients do not read it."""
+    return np.zeros((len(x), m, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +166,7 @@ def _expectations(window, x, t_n, j, problem, rule, r):
     """Moments of span j at one point, from the batched all-span evaluation."""
     dt = window[0].t - t_n
     moments = conditional_expectations(
-        window[:j], np.array([[x]]), t_n, dt, problem, None, None, rule, r
+        window[:j], np.array([[x]]), t_n, dt, problem, _iterate([x]), rule, r
     )
     assert moments.shape == (j, 1, 1, 2)
     return moments[-1, 0, :, 0], moments[-1, 0, :, 1:]
@@ -200,11 +205,9 @@ def test_conditional_expectations_match_monte_carlo():
     lattice = build_lattice(1.0, 0.05, 1.5, r=7)
     X = lattice.nodes()
     window = [
-        ValueLevel(
-            lattice=lattice,
-            t=t_n + s * dt,
-            y=problem.analytic_y(t_n + s * dt, X),
-            z=problem.analytic_z(t_n + s * dt, X),
+        _level(
+            lattice, t_n + s * dt,
+            problem.analytic_y(t_n + s * dt, X), problem.analytic_z(t_n + s * dt, X),
         )
         for s in (1, 2)
     ]
@@ -242,9 +245,8 @@ def _first_expectations_call(monkeypatch, name, cfg):
 
 def _span_bytes(args):
     """Bytes of one span's quadrature terms, Q·P·m·(1+d)·8."""
-    window, x, rule = args[0], args[1], args[7]
-    Q = rule.npoints
-    return Q * x.shape[0] * window[0].m * (1 + window[0].d) * 8
+    yz, rule = args[5], args[6]
+    return rule.npoints * yz.size * 8
 
 
 @pytest.mark.parametrize(
@@ -290,7 +292,7 @@ def test_expectations_memory_is_bounded_by_the_block_budget(monkeypatch):
     budgets.
     """
     args = _first_expectations_call(monkeypatch, "example3", SolverConfig(k=3, n_steps=12))
-    window, x, rule = args[0], args[1], args[7]
+    window, x, rule = args[0], args[1], args[6]
     span = _span_bytes(args)
     monkeypatch.setattr(fbsde.lattice, "_BLOCK_BYTES", span)
     tracemalloc.start()
@@ -314,15 +316,12 @@ def _many_component_expectations_args(m=4, spans=6, P=200):
     lat = build_lattice(0.0, 0.05, 3.0, r=10)
     X = lat.nodes()
     window = [
-        ValueLevel(
-            lattice=lat, t=0.1 * s, y=np.cos(X * np.arange(1, m + 1) + s),
-            z=np.zeros(lat.shape + (m, 1)),
-        )
+        _level(lat, 0.1 * s, np.cos(X * np.arange(1, m + 1) + s), np.zeros(lat.shape + (m, 1)))
         for s in range(1, spans + 1)
     ]
     problem = _constant_coefficient_problem(a0=0.3, b0=0.5)
     x = np.linspace(-1.0, 1.0, P)[:, None]
-    return (window, x, 0.0, 0.01, problem, None, None, gauss_hermite_tensor(24, 1), 10)
+    return (window, x, 0.0, 0.01, problem, _iterate(x, m), gauss_hermite_tensor(24, 1), 10)
 
 
 def test_repeated_expectations_allocate_nothing_block_sized():
@@ -356,8 +355,8 @@ def test_expectations_results_do_not_alias_the_workspace():
     got = conditional_expectations(*args)
     kept = got.copy()
     for P in (200, 90):
-        window, x = _many_component_expectations_args(P=P)[:2]
-        conditional_expectations(window[::-1], 0.5 * x, *args[2:])
+        window, x, *rest = _many_component_expectations_args(P=P)
+        conditional_expectations(window[::-1], 0.5 * x, *rest)
     assert got.tobytes() == kept.tobytes()
 
 
@@ -677,7 +676,7 @@ def test_undersized_query_cone_is_reported():
     overhang = (0.75 + 7.0 * 0.04 + 0.1 * math.sqrt(0.08) * q_max - 1.0) / 0.1
     with pytest.raises(OutOfDomain) as err:
         conditional_expectations(
-            window, np.array([[0.75]]), 0.1, 0.02, problem, None, None, rule, 3
+            window, np.array([[0.75]]), 0.1, 0.02, problem, _iterate([0.75]), rule, 3
         )
     message = str(err.value)
     assert "query cone too small at t = 0.1," in message
@@ -742,7 +741,7 @@ def test_marched_levels_live_on_their_windows(monkeypatch):
         assert sealed[-1].lattice.shape == (1,) * dim
         assert np.array_equal(sealed[-1].lattice.lo, np.zeros(dim))
         for level in sealed:
-            assert np.all(np.isfinite(level.y)) and np.all(np.isfinite(level.z))
+            assert np.all(np.isfinite(level.yz)) and not level.yz.flags.writeable
         initialized = 1 if cfg.init_mode == "ramp" else cfg.k + cfg.m_comb - 1
         assert len(reads) == initialized + len(sealed) - 1  # all but t = 0
         for lattice, lows, highs in reads.values():
