@@ -45,10 +45,10 @@ class ExperimentSpec:
     ``m_comb``, ``r``, ``gh_points``, ``init_mode`` and ``init_substeps`` go
     to every cell's :class:`~fbsde.stepper.SolverConfig` unchanged and
     default to its values; ``None`` leaves ``r`` and ``gh_points`` for the
-    solver to derive.  ``r``, ``gh_points``, ``init_mode`` and
-    ``init_substeps`` are checked up front by the same checks as in
-    :class:`~fbsde.stepper.SolverConfig`, so a bad value stops the sweep
-    before any cell runs.
+    solver to derive.  Each k, ``m_comb``, ``r``, ``gh_points``,
+    ``init_mode`` and ``init_substeps`` are checked up front by the same
+    checks as in :class:`~fbsde.stepper.SolverConfig`, so a bad value stops
+    the sweep before any cell runs.
     """
 
     problem: str
@@ -84,8 +84,11 @@ class ExperimentSpec:
             if repeated:
                 raise ValueError(f"{name} repeats {repeated}; list each value once")
         SolverConfig.check_integers(
-            r=self.r, gh_points=self.gh_points, init_substeps=self.init_substeps
+            m_comb=m_comb, r=self.r, gh_points=self.gh_points,
+            init_substeps=self.init_substeps,
         )
+        for k in ks:
+            SolverConfig.check_integers(k=k)
         SolverConfig.check_init_mode(self.init_mode)
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "n_steps", ns)

@@ -116,18 +116,27 @@ def gauss_hermite_tensor(npoints: int, dim: int) -> TensorRule:
 def kahan_sum(terms: np.ndarray) -> np.ndarray:
     """Compensated summation along axis 0, in index order.
 
-    Uses the Kahan–Babuška–Neumaier variant, which stays accurate under
-    heavy cancellation (terms of mixed sign and similar magnitude), not
-    just when adding small terms to a large running total.
+    Each addition's rounding error is recovered exactly by Knuth's
+    branch-free TwoSum and accumulated apart from the running total, which
+    stays accurate under heavy cancellation (terms of mixed sign and similar
+    magnitude), not just when adding small terms to a large running total.
+    The error is the one the Kahan–Babuška–Neumaier variant's branch
+    recovers, so the result is the same to the bit.  The running sums and
+    errors live in buffers made once per call.
     """
     terms = np.asarray(terms, dtype=float)
     total = np.zeros(terms.shape[1:])
     comp = np.zeros_like(total)
+    s, back, err = np.empty_like(total), np.empty_like(total), np.empty_like(total)
     for t in terms:
-        s = total + t
-        big = np.abs(total) >= np.abs(t)
-        comp = comp + np.where(big, (total - s) + t, (t - s) + total)
-        total = s
+        np.add(total, t, out=s)
+        np.subtract(s, total, out=back)  # the part of t that s took in
+        np.subtract(s, back, out=err)
+        np.subtract(total, err, out=err)  # total's rounding error
+        np.subtract(t, back, out=back)  # t's rounding error
+        err += back
+        comp += err
+        total, s = s, total
     return total + comp
 
 

@@ -20,6 +20,13 @@ contiguously rather than over one short stencil row, or one node's few
 values, at a time, and each sum over a stencil's r+1 entries adds them in
 index order, one contiguous slab of queries per entry.
 
+One call may read several levels of the same grid (shared origin, h and
+dim), each at its own queries: their values are laid end to end and each
+level's node index is offset by its first node, while each keeps its own
+hull check and one-sided stencils.  A one-level call is the group of one.
+Many small reads then cost one call's fixed overhead instead of one each,
+and every result is the one a call per level would give, to the bit.
+
 The kernel's block-sized arrays (node index, stencil weights, gathered block
 and partial axis sums) live in a per-thread workspace that is kept between
 calls, so a solve does not allocate, and have the kernel zero-fill, the same
@@ -30,8 +37,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +67,13 @@ class TooFewNodes(ValueError):
 
 
 class OutOfDomain(ValueError):
-    """Raised when a query lies outside the lattice hull."""
+    """Raised when a query lies outside the lattice hull.
+
+    ``level`` is the index, within its `interpolate_values` call, of the
+    level whose hull the query missed (0 for a one-level call).
+    """
+
+    level = 0
 
 
 @dataclass(frozen=True)
@@ -187,23 +202,33 @@ def _scratch(role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
 
 
 @functools.cache
-def _stencil_constants(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only barycentric weights (-1)^i·C(r, i), float offsets 0..r and
-    integer offsets 0..r, each an (r+1, 1) column for the stencil-major layout."""
+def _stencil_constants(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only barycentric weights (-1)^i·C(r, i) and float offsets 0..r,
+    each an (r+1, 1) column for the stencil-major layout."""
     weights = np.array([[(-1) ** i * math.comb(r, i)] for i in range(r + 1)], dtype=float)
-    offsets = np.arange(r + 1)[:, None]
-    float_offsets = offsets.astype(float)
-    for a in (weights, float_offsets, offsets):
+    offsets = np.arange(r + 1.0)[:, None]
+    for a in (weights, offsets):
         a.flags.writeable = False
-    return weights, float_offsets, offsets
+    return weights, offsets
 
 
-def _stencil_starts(u: np.ndarray, r: int, lo: int, hi: int) -> np.ndarray:
-    """First index (q,) of each query's degree-r stencil along one axis.
+@functools.cache
+def _stencil_grid(r: int, dim: int) -> np.ndarray:
+    """Read-only (dim, (r+1)^dim) integer offsets of every entry of a
+    degree-r tensor stencil, in row-major stencil order."""
+    grid = np.indices((r + 1,) * dim).reshape(dim, -1)
+    grid.flags.writeable = False
+    return grid
+
+
+def _stencil_starts(u: np.ndarray, r: int, lo, hi) -> np.ndarray:
+    """First index of each query's degree-r stencil along one axis.
 
     ``u`` is the query in absolute index coordinates.  The stencil is the run
     of r+1 indices nearest u (exact midway ties go to the lower start),
-    clipped into [lo, hi], so near the hull it is one-sided.
+    clipped into [lo, hi], so near the hull it is one-sided.  ``lo`` and
+    ``hi`` are integers or arrays that broadcast against ``u``, such as a
+    (levels, 1) column of each level's bounds.
     """
     starts = np.ceil(u - r / 2.0 - 0.5).astype(int)
     np.maximum(starts, lo, out=starts)
@@ -223,7 +248,7 @@ def _stencil_weights(
     weights.  They are written into ``out``, an (r+1, q) float array, when
     it is given, and into a fresh array otherwise.
     """
-    bary, offsets, _ = _stencil_constants(r)
+    bary, offsets = _stencil_constants(r)
     w = np.subtract(local, offsets, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(bary, w, out=w)
@@ -235,105 +260,178 @@ def _stencil_weights(
     return w
 
 
+def _block_rows(r: int, dim: int, width: int) -> int:
+    """Queries per block of `interpolate_values` (one at least): its node
+    index and gathered values, (r+1)^dim·(width + 1) words per query, fill
+    at most ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // ((r + 1) ** dim * (width + 1) * 8))
+
+
 def interpolate_values(
     lattice: Lattice,
     values: np.ndarray,
     queries: np.ndarray,
     r: int,
+    *,
+    more: Sequence[tuple[Lattice, np.ndarray]] = (),
 ) -> np.ndarray:
     """Tensor-product degree-r interpolation of gridded values at many points.
 
-    Queries run in blocks whose gather takes at most ``_BLOCK_BYTES`` (one
-    query at least); each result depends on its own query only.  A block's
-    node index (whose buffer then takes the stencil weights), gathered values
-    and partial axis sums are written into this thread's `_scratch` buffers,
-    reused from call to call, so a repeated call of the same size allocates
-    nothing block-sized; the result is always a fresh array.
+    One call reads one level, ``values`` on ``lattice``, or a group of
+    levels: ``more`` holds further (lattice, values) pairs, and row ℓ of
+    ``queries`` is read on level ℓ of the call.  The levels must share
+    origin, h, dim and the values' trailing shape; each keeps its own hull
+    check and its own one-sided stencils.  Queries run in blocks whose
+    gather takes at most ``_BLOCK_BYTES`` (one query at least): a block
+    holds whole levels when one level's queries fit, and otherwise a slice
+    of one level's rows.  Each result depends on its own query and level
+    only, so grouping never changes a bit.  A block's node index (whose
+    buffer then takes the stencil weights), gathered values and partial
+    axis sums are written into this thread's `_scratch` buffers, reused from
+    call to call, so a repeated call of the same size allocates nothing
+    block-sized; the result is always a fresh array.
 
     Parameters
     ----------
     values : array of shape `lattice.shape + rest`; any other leading shape
         raises ValueError
-    queries : (Q, dim) physical coordinates inside the lattice hull; a query
-        more than ``NODE_SNAP_TOL`` nodes beyond it, or a NaN one, raises
-        OutOfDomain naming the axis and the overhang in nodes.  Near the
+    queries : (Q, dim) physical coordinates inside the lattice hull, or
+        (levels, Q, dim) with one row per level of the call; a query more
+        than ``NODE_SNAP_TOL`` nodes beyond its level's hull, or a NaN one,
+        raises OutOfDomain naming the axis, the overhang in nodes and the
+        hull, with ``level`` the index of that level in the call.  Near the
         hull the stencil is one-sided over stored nodes.
+    more : further (lattice, values) levels, as ``lattice`` and ``values``
 
     Returns
     -------
-    (Q,) + rest array of interpolated values, of the dtype of ``values``.
+    (levels·Q,) + rest array of interpolated values, level-major, of the
+    dtype of ``values``.
     """
     if r < 0:
         raise ValueError(f"interpolation degree must be >= 0, got {r}")
-    if any(n < r + 1 for n in lattice.shape):
-        raise TooFewNodes(
-            f"lattice shape {lattice.shape} cannot host a degree-{r} stencil"
-        )
-    dim = lattice.dim
-    if values.shape[:dim] != lattice.shape:
-        raise ValueError(
-            f"values of shape {values.shape} do not match lattice shape {lattice.shape}"
-        )
-    queries = np.atleast_2d(np.asarray(queries, float))
-    if queries.shape[1] != dim:
-        raise ValueError(f"queries must be (Q, {dim}), got {queries.shape}")
-
-    u_all = (queries - lattice.origin) / lattice.h
-    overhang = np.maximum(lattice.lo - u_all, u_all - lattice.hi)
-    if not np.all(overhang <= NODE_SNAP_TOL):  # NaN queries fail here too
-        q_bad, ax_bad = np.unravel_index(np.argmax(overhang), overhang.shape)
-        raise OutOfDomain(
-            f"query {queries[q_bad]} lies {overhang[q_bad, ax_bad]:.3g} node(s) "
-            f"beyond the lattice hull on axis {ax_bad} "
-            f"(hull {lattice.bounds[0]} .. {lattice.bounds[1]})"
-        )
-
-    # Gather through one row-major node index into the grid: a single-index
-    # take is several times faster than a per-axis fancy index, and the
-    # gathered block is then weighted in place.  The arithmetic, and so every
-    # bit of the result, is the same as weighting a fresh copy.  Index and
-    # weights are stencil-major, shape (r+1,)*dim + (q,), and the block puts
-    # the values of a node outermost, (values,) + (r+1,)*dim + (q,), so every
-    # multiply and each axis's weighted sum run over contiguous slabs of
-    # queries, adding the stencil's r+1 entries in index order; the last sum
-    # goes straight into the block's rows of the result.  The hull test has
-    # passed and the starts are clamped into [lo, hi − r], so every index is
-    # in range and the take may skip its own check (mode="clip"), which also
-    # lets it write into the buffer without a copy.
+    levels = [(lattice, values), *more]
+    g, dim = len(levels), lattice.dim
     rest = values.shape[dim:]
-    width = math.prod(rest)
-    dtype = np.result_type(values.dtype, np.float64)
-    flat = np.ascontiguousarray(values.reshape(-1, width).T, dtype=dtype)
-    out = np.empty((u_all.shape[0], width), dtype=dtype)
-    # The row-major node index Σ_ax (start_ax − lo_ax + o_ax)·stride_ax is a
-    # fixed table of the offsets' part, shape (r+1,)*dim + (1,), plus one
-    # base per query, so each block writes its index in a single pass.
-    offsets = _stencil_constants(r)[2]
-    strides = [math.prod(lattice.shape[ax + 1 :]) for ax in range(dim)]
-    table = sum(
-        offsets.reshape((1,) * ax + (r + 1,) + (1,) * (dim - ax)) * strides[ax]
-        for ax in range(dim)
+    for lat, vals in levels:
+        if lat is not lattice and (
+            lat.dim != dim or lat.h != lattice.h or (lat.origin != lattice.origin).any()
+        ):
+            raise ValueError("the levels of one call must share origin, h and dim")
+        if min(lat.shape) < r + 1:
+            raise TooFewNodes(
+                f"lattice shape {lat.shape} cannot host a degree-{r} stencil"
+            )
+        if vals.shape[:dim] != lat.shape:
+            raise ValueError(
+                f"values of shape {vals.shape} do not match lattice shape {lat.shape}"
+            )
+        if vals.shape[dim:] != rest:
+            raise ValueError(
+                f"the levels of one call must share the values' trailing shape, "
+                f"got {vals.shape[dim:]} and {rest}"
+            )
+    queries = np.atleast_2d(np.asarray(queries, float))
+    if queries.shape[-1] != dim or not (
+        queries.ndim == 3 and queries.shape[0] == g or queries.ndim == 2 and g == 1
+    ):
+        raise ValueError(f"queries must be ({g}, Q, {dim}), got {queries.shape}")
+
+    # Queries in index coordinates, axis-major, (levels, dim, Q): each
+    # axis's coordinates of a level are one contiguous row.
+    queries = queries.reshape(g, -1, dim)
+    q = queries.shape[1]
+    u_all = np.subtract(
+        queries.transpose(0, 2, 1), lattice.origin[:, None], out=np.empty((g, dim, q))
     )
-    lows, highs = lattice.lo.tolist(), lattice.hi.tolist()
-    per_query = (r + 1) ** dim * (width + 1) * 8
-    rows = max(1, _BLOCK_BYTES // per_query)
-    for begin in range(0, u_all.shape[0], rows):
-        u = u_all[begin : begin + rows]
-        q = u.shape[0]
-        starts = [_stencil_starts(u[:, ax], r, lows[ax], highs[ax]) for ax in range(dim)]
-        base = sum((starts[ax] - lows[ax]) * strides[ax] for ax in range(dim))
-        node = np.add(table, base, out=_scratch("node", (r + 1,) * dim + (q,), np.intp))
+    u_all /= lattice.h
+    bounds = np.array([(lat.lo, lat.hi) for lat, _ in levels])  # (levels, 2, dim)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    if q:
+        # Rounding is monotone, so lo − min u is the largest lo − u: the
+        # per-axis extremes decide the hull test exactly as every query's
+        # overhang would.  NaN queries fail here too.
+        inside = np.maximum(lo - u_all.min(axis=2), u_all.max(axis=2) - hi) <= NODE_SNAP_TOL
+        if not inside.all():
+            bad = int(np.argmin(inside.all(axis=1)))
+            u = u_all[bad].T
+            overhang = np.maximum(lo[bad] - u, u - hi[bad])
+            q_bad, ax_bad = np.unravel_index(np.argmax(overhang), overhang.shape)
+            low, high = levels[bad][0].bounds
+            err = OutOfDomain(
+                f"query {queries[bad, q_bad]} lies "
+                f"{overhang[q_bad, ax_bad]:.3g} node(s) beyond the lattice hull "
+                f"on axis {ax_bad} (hull {low} .. {high})"
+                + (f" (level {bad} of the call)" if more else "")
+            )
+            err.level = bad
+            raise err
+
+    # Gather through one row-major node index into all levels' grids, laid
+    # end to end in ``flat``: a single-index take is several times faster
+    # than a per-axis fancy index, and the gathered block is then weighted in
+    # place.  The arithmetic, and so every bit of the result, is the same as
+    # weighting a fresh copy.  Index and weights are stencil-major, shape
+    # (r+1,)*dim + (q,), and the block puts the values of a node outermost,
+    # (values,) + (r+1,)*dim + (q,), so every multiply and each axis's
+    # weighted sum run over contiguous slabs of queries, adding the
+    # stencil's r+1 entries in index order; the last sum goes straight into
+    # the block's rows of the result.  The hull test has passed and the
+    # starts are clamped into [lo, hi − r] of their own level, so every
+    # index is in range and the take may skip its own check (mode="clip"),
+    # which also lets it write into the buffer without a copy.
+    #
+    # The index of stencil entry o of a query is Σ_ax (start_ax + o_ax)·
+    # stride_ax plus its level's corner, the level's first node in ``flat``
+    # less Σ_ax lo_ax·stride_ax.  The offsets' part and the corner form a
+    # fixed table, shape (r+1,)*dim + (levels, 1); the last axis has stride
+    # 1 on every level, and each level's lo, hi and strides broadcast as
+    # (levels, 1) columns, so a block of several levels writes its index in
+    # a single pass.
+    width = math.prod(rest)
+    dtype = np.result_type(*(vals.dtype for _, vals in levels), np.float64)
+    flat = np.empty((width, sum(lat.num_nodes for lat, _ in levels)), dtype=dtype)
+    strides, corners, first = [], [], 0
+    for lat, vals in levels:
+        stride = [math.prod(lat.shape[ax + 1 :]) for ax in range(dim)]
+        strides.append(stride)
+        corners.append(first - sum(map(operator.mul, lat.lo.tolist(), stride)))
+        flat[:, first : first + lat.num_nodes] = vals.reshape(-1, width).T
+        first += lat.num_nodes
+    strides = np.array(strides)
+    table = ((strides @ _stencil_grid(r, dim)).T + corners).reshape((r + 1,) * dim + (g, 1))
+    out = np.empty((g * q, width), dtype=dtype)
+    rows = _block_rows(r, dim, width)
+    if q <= rows:
+        step = rows // max(q, 1)
+        blocks = [(ell, min(ell + step, g), 0, q) for ell in range(0, g, step)]
+    else:
+        blocks = [(ell, ell + 1, b, min(b + rows, q)) for ell in range(g) for b in range(0, q, rows)]
+    for l0, l1, b0, b1 in blocks:
+        u = u_all[l0:l1, :, b0:b1]
+        n = (l1 - l0) * (b1 - b0)
+        starts = [
+            _stencil_starts(u[:, ax], r, lo[l0:l1, ax, None], hi[l0:l1, ax, None])
+            for ax in range(dim)
+        ]
+        base = starts[-1]
+        for ax in range(dim - 1):
+            base = base + starts[ax] * strides[l0:l1, ax, None]
+        node = np.add(
+            table[..., l0:l1, :], base, out=_scratch("node", (r + 1,) * dim + base.shape, np.intp)
+        ).reshape((r + 1,) * dim + (n,))
         block = _scratch("block", (width,) + node.shape, dtype)
         np.take(flat, node, axis=1, out=block, mode="clip")
         # The index is spent after the gather, and dim·(r+1) ≤ (r+1)^dim for
         # r ≥ 1, so its buffer takes the weights: one block-sized buffer fewer.
-        spent = _scratch("node", (dim, r + 1, q), float)
+        spent = _scratch("node", (dim, r + 1, n), float)
         for ax, w in enumerate(spent):
-            _stencil_weights(u[:, ax] - starts[ax], r, out=w)
-            block *= w.reshape((r + 1,) + (1,) * (dim - 1 - ax) + (q,))
+            _stencil_weights((u[:, ax] - starts[ax]).reshape(n), r, out=w)
+            block *= w.reshape((r + 1,) + (1,) * (dim - 1 - ax) + (n,))
             sums = (
-                out[begin : begin + q].T if ax == dim - 1
+                out[l0 * q + b0 : l0 * q + b0 + n].T if ax == dim - 1
                 else _scratch(f"sums{ax}", (width,) + block.shape[2:], dtype)
             )
             block = np.sum(block, axis=1, out=sums)
-    return out.reshape(out.shape[:1] + rest).astype(values.dtype, copy=False)
+    result_dtype = np.result_type(*(vals.dtype for _, vals in levels))
+    return out.reshape(out.shape[:1] + rest).astype(result_dtype, copy=False)

@@ -227,10 +227,10 @@ def euler_points(
     a_val: np.ndarray,
     b_val: np.ndarray,
     q: np.ndarray,
-    j: int,
+    j: int | np.ndarray,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature points of the one-shot Euler predictor over a span of j steps.
+    """Quadrature points of the one-shot Euler predictor over spans of j steps.
 
     With coefficients frozen at a_val = a(t_n, x, y, z) and
     b_val = b(t_n, x, y, z), the predictor at t_n + jΔt is x + a·jΔt + b·ΔW
@@ -241,20 +241,23 @@ def euler_points(
     Parameters
     ----------
     x : (P, n) base points; a_val : (P, n); b_val : (P, n, d);
-    q : (Q, d) Gauss–Hermite abscissae.
+    q : (Q, d) Gauss–Hermite abscissae; j : one span, or an array of spans,
+        each computed as it would be alone.
 
     Returns
     -------
-    nodes : (Q, P, n) integration points in state space, quadrature index
-        outermost, so the values read at them come out in the layout the
-        quadrature sums take
-    dw : (Q, d) the Brownian increments √(2jΔt)·q, shared by every base point
+    nodes : j.shape + (Q, P, n) integration points in state space, quadrature
+        index outermost within a span, so the values read at them come out
+        in the layout the quadrature sums take
+    dw : j.shape + (Q, d) the Brownian increments √(2jΔt)·q, shared by every
+        base point
     """
-    if j < 1:
+    j = np.asarray(j)
+    if np.any(j < 1):
         raise ValueError(f"span j must be >= 1, got {j}")
-    dw = math.sqrt(2.0 * j * dt) * q
-    drifted = x + a_val * (j * dt)
-    nodes = drifted + np.einsum("pnd,qd->qpn", b_val, dw)
+    dw = np.sqrt(2.0 * j * dt)[..., None, None] * q
+    drifted = x + a_val * (j * dt)[..., None, None]
+    nodes = drifted[..., None, :, :] + np.einsum("pnd,...qd->...qpn", b_val, dw)
     return nodes, dw
 
 
@@ -279,9 +282,14 @@ def conditional_expectations(
     quadrature index outermost, (Q, spans, P, m, 1+d) with both moments side
     by side, and the spans are summed in groups whose terms fit in
     ``lattice._BLOCK_BYTES`` (one span at least): one
-    :func:`~fbsde.hermite.kahan_sum` per group over contiguous slabs.  The
-    terms buffer is this thread's ``lattice._scratch`` buffer, reused from
-    call to call; the returned moments are a fresh array.  Each sum is
+    :func:`~fbsde.hermite.kahan_sum` per group over contiguous slabs.
+    Within a group, the spans whose quadrature points fit one interpolation
+    block together (one span at least) get their Euler points in one
+    :func:`euler_points` call and are read in one
+    :func:`~fbsde.lattice.interpolate_values` call, each span on its own
+    level, so the points of only those spans exist at once.  The terms
+    buffer is this thread's ``lattice._scratch`` buffer, reused from call to
+    call; the returned moments are a fresh array.  Each sum and each read is
     elementwise, so the grouping never changes a bit.  A quadrature point
     outside the lattice of the level it reads raises
     :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the level's t,
@@ -298,6 +306,7 @@ def conditional_expectations(
     ``[j-1, ..., 1:]`` is E[Y^{n+j} ΔWᵀ].
     """
     P, m = yz.shape[:2]
+    n = x.shape[1]
     norm = math.pi ** (-rule.dim / 2.0)
     a_val = np.asarray(problem.a(t_n, x, yz[..., 0], yz[..., 1:]), float)
     b_val = np.asarray(problem.b(t_n, x, yz[..., 0], yz[..., 1:]), float)
@@ -305,26 +314,34 @@ def conditional_expectations(
     Q, d = q.shape
     span_bytes = Q * P * m * (1 + d) * 8
     group = max(1, _lattice._BLOCK_BYTES // span_bytes)
+    reads = max(1, _lattice._block_rows(r, n, m) // (Q * P))
     moments = np.empty((len(window), P, m, 1 + d))
     for first in range(0, len(window), group):
         spans = window[first : first + group]
         terms = _lattice._scratch("terms", (Q, len(spans), P, m, 1 + d), float)
-        for s, level in enumerate(spans):
-            j = first + s + 1
+        for s in range(0, len(spans), reads):
+            levels = spans[s : s + reads]
+            G = len(levels)
+            j = np.arange(first + s + 1, first + s + 1 + G)
             nodes, dw = euler_points(x, a_val, b_val, q, j, dt)
-            flat = nodes.reshape(-1, level.lattice.dim)
             try:
-                vals = interpolate_values(level.lattice, level.yz[..., 0], flat, r)
+                vals = interpolate_values(
+                    levels[0].lattice, levels[0].yz[..., 0], nodes.reshape(G, Q * P, n), r,
+                    more=[(level.lattice, level.yz[..., 0]) for level in levels[1:]],
+                )
             except OutOfDomain as err:
                 raise OutOfDomain(
-                    f"query cone too small at t = {t_n:.6g}, span j={j}, reading "
-                    f"level t = {level.t:.6g}: {err}"
+                    f"query cone too small at t = {t_n:.6g}, span j={j[err.level]}, "
+                    f"reading level t = {levels[err.level].t:.6g}: {err}"
                 ) from err
+            # Values come level-major; the terms take them quadrature-major.
             weighted = np.multiply(
-                vals.reshape(Q, P, m), w[:, None, None], out=terms[:, s, :, :, 0]
+                vals.reshape(G, Q, P, m).swapaxes(0, 1), w[:, None, None, None],
+                out=terms[:, s : s + G, ..., 0],
             )
             np.multiply(
-                weighted[..., None], dw[:, None, None, :], out=terms[:, s, :, :, 1:]
+                weighted[..., None], dw.swapaxes(0, 1)[:, :, None, None, :],
+                out=terms[:, s : s + G, ..., 1:],
             )
         np.multiply(norm, kahan_sum(terms), out=moments[first : first + len(spans)])
     return moments

@@ -78,6 +78,15 @@ def test_spec_validation():
         ExperimentSpec(problem="example1", init_substeps=2.0)
     with pytest.raises(ValueError, match="init_mode must be 'exact' or 'ramp', got 'Ramp'"):
         ExperimentSpec(problem="example1", init_mode="Ramp")
+    # m_comb and every k are in SolverConfig's ranges, so no cell is left to
+    # fail on them.
+    with pytest.raises(ValueError, match=r"m_comb must be in 1\.\.inf, got 0"):
+        ExperimentSpec(problem="example1", m_comb=0)
+    with pytest.raises(ValueError, match=r"k must be in 3\.\.9, got 2"):
+        ExperimentSpec(problem="example1", ks=(2,))
+    with pytest.raises(ValueError, match=r"k must be in 3\.\.9, got 10"):
+        ExperimentSpec(problem="example1", ks=(3, 10), n_steps=(20,))
+    assert ExperimentSpec(problem="example1", ks=(3, 9), m_comb=1).ks == (3, 9)
 
 
 def test_spec_cells_sorted_and_overrides():
@@ -155,12 +164,16 @@ def test_budget_gate_skips_cells():
 
 
 def test_unstable_scheme_warns_and_cell_fails():
-    spec = ExperimentSpec(problem="example1", ks=(10,), n_steps=(16,))
+    """A scheme failing the root condition still runs, with a warning, and a
+    cell that cannot be solved is reported, not raised.  (k, m_comb) =
+    (7, 1) is unstable; r = 10**9 asks every window for more than
+    ``MAX_NODES`` nodes, so the cell fails with TooManyNodes, a ValueError."""
+    spec = ExperimentSpec(problem="example1", ks=(7,), m_comb=1, n_steps=(16,), r=10**9)
     with pytest.warns(UserWarning, match="root condition"):
         rep = run_experiment(spec)
     cell = rep.cells[0]
     assert cell.status == "failed"
-    assert "ValueError" in cell.message
+    assert cell.message.startswith("TooManyNodes")
     assert rep.rates == {}
     # Failed cells appear in CSV as a single status row with the message.
     lines = report_to_csv(rep).splitlines()

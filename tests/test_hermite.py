@@ -155,3 +155,40 @@ def test_kahan_sum_axis_semantics():
     arr = np.arange(12.0).reshape(3, 4)
     assert kahan_sum(arr) == pytest.approx(arr.sum(axis=0), abs=0)
     assert kahan_sum(arr).shape == (4,)
+
+
+def _neumaier_sum(terms):
+    """Compensated sum by the Kahan–Babuška–Neumaier branch, the loop that
+    `kahan_sum` replaced, kept here as its oracle."""
+    terms = np.asarray(terms, dtype=float)
+    total = np.zeros(terms.shape[1:])
+    comp = np.zeros_like(total)
+    for t in terms:
+        s = total + t
+        big = np.abs(total) >= np.abs(t)
+        comp = comp + np.where(big, (total - s) + t, (t - s) + total)
+        total = s
+    return total + comp
+
+
+def test_kahan_sum_matches_the_neumaier_branch_bitwise():
+    """TwoSum recovers the same exact rounding error as the branch, so the
+    sums agree to the bit: random magnitudes 1e±20, cancelling pairs, exact
+    integer sums, and signed zeros, over 1-D and trailing shapes."""
+    rng = np.random.default_rng(16)
+    for case in range(600):
+        shape = (int(rng.integers(1, 30)),) + tuple(rng.integers(1, 4, size=case % 3))
+        kind = case % 4
+        if kind == 0:
+            terms = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 21, size=shape)
+        elif kind == 1:
+            half = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            terms = np.concatenate([half, -half * (1 + 1e-15 * rng.normal(size=shape))])
+            terms = terms[rng.permutation(len(terms))]
+        elif kind == 2:
+            terms = rng.integers(-1000, 1000, size=shape).astype(float)
+        else:
+            terms = rng.choice([0.0, -0.0, 1.0, -1.0, 1e-300], size=shape)
+        got, want = kahan_sum(terms), _neumaier_sum(terms)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), case

@@ -383,3 +383,74 @@ def test_snap_tolerance_is_tight():
     assert got != values[4, 0]
     assert got == pytest.approx((1.0 + off) ** 2, rel=1e-9)
     assert NODE_SNAP_TOL < off
+
+
+def _grouped_inputs(dim, sizes, width=3, seed=0):
+    """Levels on windows of one origin and h but different extents, each
+    with (width,) values per node, and each level's own queries."""
+    rng = np.random.default_rng(seed)
+    origin, h = np.full(dim, 0.1), 0.05
+    levels, queries = [], []
+    for i, n in enumerate(sizes):
+        lo = -np.arange(n, n + dim)
+        lat = Lattice(origin=origin, h=h, lo=lo, hi=lo + 2 * n + i)
+        low, high = lat.bounds
+        levels.append((lat, rng.uniform(-2, 2, size=lat.shape + (width,))))
+        queries.append(rng.uniform(low, high, size=(97, dim)))
+    return levels, np.stack(queries)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "budget", [None, 200, 30], ids=["one-block", "two-levels-a-block", "row-slices"]
+)
+def test_grouped_call_matches_one_call_per_level_bitwise(monkeypatch, dim, budget):
+    """One call over several levels gives the bytes of one call per level,
+    whether one block holds every level, a budget of 200 queries puts two
+    levels of 97 in a block and the third in another, or a budget of 30
+    splits each level over four blocks, the last one ragged."""
+    r = 4
+    if budget is not None:
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", budget * (r + 1) ** dim * 4 * 8)
+    levels, queries = _grouped_inputs(dim, [8, 11, 9])
+    want = np.concatenate([
+        interpolate_values(lat, values, rows, r) for (lat, values), rows in zip(levels, queries)
+    ])
+    (lat, values), *more = levels
+    got = interpolate_values(lat, values, queries, r, more=more)
+    assert got.shape == (3 * 97, 3)
+    assert got.tobytes() == want.tobytes()
+    # A group of one level, queries as (1, Q, dim), is the one-level call.
+    alone = interpolate_values(lat, values, queries[:1], r)
+    assert alone.tobytes() == want[:97].tobytes()
+
+
+def test_grouped_call_checks_its_levels_agree():
+    levels, queries = _grouped_inputs(1, [8, 11])
+    (lat, values), (other, other_values) = levels
+    moved = Lattice(origin=lat.origin + 0.01, h=lat.h, lo=other.lo, hi=other.hi)
+    coarse = Lattice(origin=lat.origin, h=2 * lat.h, lo=other.lo, hi=other.hi)
+    for bad in (moved, coarse):
+        with pytest.raises(ValueError, match="share origin, h and dim"):
+            interpolate_values(lat, values, queries, 4, more=[(bad, other_values)])
+    with pytest.raises(ValueError, match="trailing shape"):
+        interpolate_values(lat, values, queries, 4, more=[(other, other_values[..., :2])])
+    with pytest.raises(ValueError, match=r"queries must be \(2, Q, 1\)"):
+        interpolate_values(lat, values, queries[0], 4, more=[(other, other_values)])
+
+
+def test_grouped_call_names_the_level_off_its_hull():
+    """Each level has its own hull: a query of level 1 half a node past
+    level 1's hull raises OutOfDomain with ``level`` 1, and the one-level
+    call on that level reports level 0."""
+    levels, queries = _grouped_inputs(1, [8, 11])
+    (lat, values), (other, other_values) = levels
+    queries[1, 5, 0] = other.bounds[1][0] + 0.5 * lat.h
+    with pytest.raises(OutOfDomain) as err:
+        interpolate_values(lat, values, queries, 4, more=[(other, other_values)])
+    assert err.value.level == 1
+    assert "0.5 node(s) beyond the lattice hull on axis 0" in str(err.value)
+    assert "(level 1 of the call)" in str(err.value)
+    with pytest.raises(OutOfDomain) as err:
+        interpolate_values(other, other_values, queries[1], 4)
+    assert err.value.level == 0

@@ -162,6 +162,24 @@ def test_euler_points_rejects_nonpositive_span():
         euler_points(x, np.zeros((1, 1)), np.ones((1, 1, 1)), q, 0, 0.1)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_euler_points_of_many_spans_match_one_span_at_a_time_bitwise(d):
+    """An array of spans gives, span by span, the bytes of each span alone."""
+    rng = np.random.default_rng(d)
+    x = rng.uniform(-1, 1, size=(7, 2))
+    a_val, b_val = rng.normal(size=(7, 2)), rng.normal(size=(7, 2, d))
+    q, _ = gauss_hermite_tensor(3, d).points()
+    spans = np.array([2, 3, 4, 5])
+    nodes, dw = euler_points(x, a_val, b_val, q, spans, 0.01)
+    assert nodes.shape == (4, len(q), 7, 2) and dw.shape == (4, len(q), d)
+    for i, j in enumerate(spans):
+        one_nodes, one_dw = euler_points(x, a_val, b_val, q, int(j), 0.01)
+        assert nodes[i].tobytes() == one_nodes.tobytes()
+        assert dw[i].tobytes() == one_dw.tobytes()
+    with pytest.raises(ValueError):
+        euler_points(x, a_val, b_val, q, np.array([1, 0]), 0.01)
+
+
 def _expectations(window, x, t_n, j, problem, rule, r):
     """Moments of span j at one point, from the batched all-span evaluation."""
     dt = window[0].t - t_n
@@ -281,6 +299,44 @@ def test_batched_span_sums_match_single_spans_bytewise(monkeypatch, name, cfg):
     for label in ("default", "one group"):
         assert results[label].shape == results["single spans"].shape
         assert results[label].tobytes() == results["single spans"].tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, cfg, budget",
+    [
+        ("example1", SolverConfig(k=5, n_steps=10), None),
+        ("example3", SolverConfig(k=3, n_steps=7), 64 * 2**20),
+    ],
+    ids=["example1", "example3"],
+)
+def test_grouped_span_reads_match_one_read_per_span_bytewise(monkeypatch, name, cfg, budget):
+    """Spans whose points fit one interpolation block are read in one
+    interpolate_values call, each on its own level, and give the moments'
+    bytes of reading every span alone.  example3's spans fill a block each
+    at the default budget, so a 64 MiB one groups them."""
+    args = _first_expectations_call(monkeypatch, name, cfg)
+    if budget is not None:
+        monkeypatch.setattr(fbsde.lattice, "_BLOCK_BYTES", budget)
+    interpolate = stepper.interpolate_values
+    calls = []
+
+    def counting(lattice, values, queries, r, *, more=()):
+        calls.append(1 + len(more))
+        return interpolate(lattice, values, queries, r, more=more)
+
+    def one_level_at_a_time(lattice, values, queries, r, *, more=()):
+        levels = [(lattice, values), *more]
+        rows = np.reshape(queries, (len(levels), -1, lattice.dim))
+        return np.concatenate(
+            [interpolate(lat, vals, q, r) for (lat, vals), q in zip(levels, rows)]
+        )
+
+    monkeypatch.setattr(stepper, "interpolate_values", counting)
+    got = conditional_expectations(*args)
+    monkeypatch.setattr(stepper, "interpolate_values", one_level_at_a_time)
+    want = conditional_expectations(*args)
+    assert sum(calls) == len(args[0]) and max(calls) > 1
+    assert got.tobytes() == want.tobytes()
 
 
 def test_expectations_memory_is_bounded_by_the_block_budget(monkeypatch):
@@ -685,6 +741,37 @@ def test_undersized_query_cone_is_reported():
     assert f"{overhang:.3g} node(s) beyond the lattice hull on axis 0" in message
 
 
+def test_undersized_window_is_named_within_its_group(monkeypatch):
+    """A read past the third level of a group of three spans, read in one
+    interpolate_values call, names span j=3 and that level's t.  From
+    x = 0.75 with a = 7 and Δt = 0.02, span j drifts to 0.75 + 0.14·j, so
+    spans 1 and 2 land inside their windows (±1.2 and ±1.4) and span 3
+    past its ±1.0."""
+    problem = _constant_coefficient_problem(a0=7.0, b0=0.1)
+    rule = gauss_hermite_tensor(4, 1)
+    window = [
+        _window(build_lattice(0.0, 0.1, radius, r=3), [t], lambda t, X: np.sin(X))[0]
+        for radius, t in [(1.2, 0.12), (1.4, 0.14), (1.0, 0.16)]
+    ]
+    calls = []
+    interpolate = stepper.interpolate_values
+
+    def counting(*args, **kwargs):
+        calls.append(1 + len(kwargs.get("more", ())))
+        return interpolate(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "interpolate_values", counting)
+    with pytest.raises(OutOfDomain) as err:
+        conditional_expectations(
+            window, np.array([[0.75]]), 0.1, 0.02, problem, _iterate([0.75]), rule, 3
+        )
+    assert calls == [3]
+    message = str(err.value)
+    assert "span j=3" in message
+    assert "reading level t = 0.16" in message
+    assert "(level 2 of the call)" in message
+
+
 def test_oversized_window_fails_before_coefficients_run_on_it(monkeypatch):
     """A window past ``MAX_NODES`` raises TooManyNodes as the cone settles it,
     before a or b is evaluated on its nodes."""
@@ -713,12 +800,14 @@ def test_marched_levels_live_on_their_windows(monkeypatch):
     reads, seeds, sealed = {}, [], []
     interpolate, step = stepper.interpolate_values, stepper.step_coupled
 
-    def recording_interpolate(lattice, values, queries, r):
-        u = (queries - lattice.origin) / lattice.h
-        lows, highs = reads.setdefault(id(lattice), (lattice, [], []))[1:]
-        lows.append(np.min(u, axis=0))
-        highs.append(np.max(u, axis=0))
-        return interpolate(lattice, values, queries, r)
+    def recording_interpolate(lattice, values, queries, r, *, more=()):
+        levels = [lattice, *(lat for lat, _ in more)]
+        for lat, rows in zip(levels, np.reshape(queries, (len(levels), -1, lattice.dim))):
+            u = (rows - lat.origin) / lat.h
+            lows, highs = reads.setdefault(id(lat), (lat, [], []))[1:]
+            lows.append(np.min(u, axis=0))
+            highs.append(np.max(u, axis=0))
+        return interpolate(lattice, values, queries, r, more=more)
 
     def recording_step(window, *args):
         out = step(window, *args)
