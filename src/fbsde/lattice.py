@@ -433,5 +433,4 @@ def interpolate_values(
                 else _scratch(f"sums{ax}", (width,) + block.shape[2:], dtype)
             )
             block = np.sum(block, axis=1, out=sums)
-    result_dtype = np.result_type(*(vals.dtype for _, vals in levels))
-    return out.reshape(out.shape[:1] + rest).astype(result_dtype, copy=False)
+    return out.reshape(out.shape[:1] + rest).astype(values.dtype, copy=False)
