@@ -314,8 +314,8 @@ def interpolate_values(
     g, dim = len(levels), lattice.dim
     rest = values.shape[dim:]
     for lat, vals in levels:
-        if lat is not lattice and (
-            lat.dim != dim or lat.h != lattice.h or (lat.origin != lattice.origin).any()
+        if lat.h != lattice.h or lat.origin is not lattice.origin and (
+            lat.dim != dim or (lat.origin != lattice.origin).any()
         ):
             raise ValueError("the levels of one call must share origin, h and dim")
         if min(lat.shape) < r + 1:
@@ -345,8 +345,8 @@ def interpolate_values(
         queries.transpose(0, 2, 1), lattice.origin[:, None], out=np.empty((g, dim, q))
     )
     u_all /= lattice.h
-    bounds = np.array([(lat.lo, lat.hi) for lat, _ in levels])  # (levels, 2, dim)
-    lo, hi = bounds[:, 0], bounds[:, 1]
+    bounds = np.array([lat.lo.tolist() + lat.hi.tolist() for lat, _ in levels])
+    lo, hi = bounds[:, :dim], bounds[:, dim:]  # (levels, dim) each
     if q:
         # Rounding is monotone, so lo − min u is the largest lo − u: the
         # per-axis extremes decide the hull test exactly as every query's
@@ -392,12 +392,13 @@ def interpolate_values(
     dtype = np.result_type(*(vals.dtype for _, vals in levels), np.float64)
     flat = np.empty((width, sum(lat.num_nodes for lat, _ in levels)), dtype=dtype)
     strides, corners, first = [], [], 0
-    for lat, vals in levels:
+    for (lat, vals), low in zip(levels, lo.tolist()):
         stride = [math.prod(lat.shape[ax + 1 :]) for ax in range(dim)]
         strides.append(stride)
-        corners.append(first - sum(map(operator.mul, lat.lo.tolist(), stride)))
-        flat[:, first : first + lat.num_nodes] = vals.reshape(-1, width).T
-        first += lat.num_nodes
+        corners.append(first - sum(map(operator.mul, low, stride)))
+        size = lat.num_nodes
+        flat[:, first : first + size] = vals.reshape(size, width).T
+        first += size
     strides = np.array(strides)
     table = ((strides @ _stencil_grid(r, dim)).T + corners).reshape((r + 1,) * dim + (g, 1))
     out = np.empty((g * q, width), dtype=dtype)

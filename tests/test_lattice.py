@@ -435,6 +435,11 @@ def test_grouped_call_checks_its_levels_agree():
             interpolate_values(lat, values, queries, 4, more=[(bad, other_values)])
     with pytest.raises(ValueError, match="trailing shape"):
         interpolate_values(lat, values, queries, 4, more=[(other, other_values[..., :2])])
+    # An equal origin held in another array is the same grid.
+    twin = Lattice(origin=lat.origin.copy(), h=lat.h, lo=other.lo, hi=other.hi)
+    got = interpolate_values(lat, values, queries, 4, more=[(twin, other_values)])
+    want = interpolate_values(lat, values, queries, 4, more=[(other, other_values)])
+    assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match=r"queries must be \(2, Q, 1\)"):
         interpolate_values(lat, values, queries[0], 4, more=[(other, other_values)])
 
