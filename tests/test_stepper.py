@@ -716,14 +716,23 @@ def test_outer_tolerance_is_relative_to_the_iterate():
     assert abs(ys[0] / c - y0[0]) <= 1e-9
 
 
-def test_undersized_query_cone_is_reported():
+def test_undersized_query_cone_is_reported(monkeypatch):
     """A read past a level's window names the step, the span, the level read
     and the overhang in nodes.
 
     From x = 0.75 at t = 0.1 with a = 7, b = 0.1 and Δt = 0.02, span 2
     drifts to 1.03 ± 0.1·√(4Δt)·q_max, past the window's hull at 1.0, while
-    span 1 stays inside it.
+    span 1 stays inside it.  Both spans are read in one interpolate_values
+    call, so the failing level is the second of its call.
     """
+    calls = []
+    interpolate = stepper.interpolate_values
+
+    def counting(*args, **kwargs):
+        calls.append(1 + len(kwargs.get("more", ())))
+        return interpolate(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "interpolate_values", counting)
     problem = _constant_coefficient_problem(a0=7.0, b0=0.1)
     lattice = build_lattice(0.0, 0.1, 1.0, r=3)
     window = _window(lattice, [0.12, 0.14], lambda t, X: np.sin(X))
@@ -739,37 +748,7 @@ def test_undersized_query_cone_is_reported():
     assert "span j=2" in message
     assert "reading level t = 0.14" in message
     assert f"{overhang:.3g} node(s) beyond the lattice hull on axis 0" in message
-
-
-def test_undersized_window_is_named_within_its_group(monkeypatch):
-    """A read past the third level of a group of three spans, read in one
-    interpolate_values call, names span j=3 and that level's t.  From
-    x = 0.75 with a = 7 and Δt = 0.02, span j drifts to 0.75 + 0.14·j, so
-    spans 1 and 2 land inside their windows (±1.2 and ±1.4) and span 3
-    past its ±1.0."""
-    problem = _constant_coefficient_problem(a0=7.0, b0=0.1)
-    rule = gauss_hermite_tensor(4, 1)
-    window = [
-        _window(build_lattice(0.0, 0.1, radius, r=3), [t], lambda t, X: np.sin(X))[0]
-        for radius, t in [(1.2, 0.12), (1.4, 0.14), (1.0, 0.16)]
-    ]
-    calls = []
-    interpolate = stepper.interpolate_values
-
-    def counting(*args, **kwargs):
-        calls.append(1 + len(kwargs.get("more", ())))
-        return interpolate(*args, **kwargs)
-
-    monkeypatch.setattr(stepper, "interpolate_values", counting)
-    with pytest.raises(OutOfDomain) as err:
-        conditional_expectations(
-            window, np.array([[0.75]]), 0.1, 0.02, problem, _iterate([0.75]), rule, 3
-        )
-    assert calls == [3]
-    message = str(err.value)
-    assert "span j=3" in message
-    assert "reading level t = 0.16" in message
-    assert "(level 2 of the call)" in message
+    assert "(level 1 of the call)" in message and calls == [2]
 
 
 def test_oversized_window_fails_before_coefficients_run_on_it(monkeypatch):
