@@ -1,8 +1,11 @@
 """Convergence experiments over (k, n_steps) grids and report emission.
 
 An experiment sweeps the scheme order k and the time-step count over one
-benchmark problem, records the absolute errors of (Y, Z) at (t = 0, x0)
-against the closed-form solution, and fits empirical convergence rates.
+benchmark problem.  Its spec builds every cell's SolverConfig when it is made,
+so the solver settings are checked there and only there; each cell then
+solves with its config and records the absolute errors of (Y, Z) at
+(t = 0, x0) against the closed-form solution, and per k the errors of each
+component are fitted to an empirical convergence rate.
 Reports serialize to JSON (lossless round-trip), CSV (long format, one row
 per (k, n_steps, metric), fixed column order), or Markdown (one table per k
 with an error column per n_steps and a fitted-rate column).
@@ -37,6 +40,9 @@ __all__ = [
     "emit_report",
 ]
 
+#: The :class:`ExperimentSpec` fields passed to every cell's SolverConfig.
+_SOLVER_FIELDS = ("m_comb", "r", "gh_points", "init_mode", "init_substeps")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -45,10 +51,9 @@ class ExperimentSpec:
     ``m_comb``, ``r``, ``gh_points``, ``init_mode`` and ``init_substeps`` go
     to every cell's :class:`~fbsde.stepper.SolverConfig` unchanged and
     default to its values; ``None`` leaves ``r`` and ``gh_points`` for the
-    solver to derive.  Each k, ``m_comb``, ``r``, ``gh_points``,
-    ``init_mode`` and ``init_substeps`` are checked up front by the same
-    checks as in :class:`~fbsde.stepper.SolverConfig`, so a bad value stops
-    the sweep before any cell runs.
+    solver to derive.  The spec builds every cell's config when it is made,
+    so a bad setting raises SolverConfig's own error before any cell runs;
+    the spec itself checks only ``problem``, ``ks`` and ``n_steps``.
     """
 
     problem: str
@@ -64,18 +69,16 @@ class ExperimentSpec:
         if not isinstance(self.problem, str):
             raise TypeError(f"problem must be a registry key, got {self.problem!r}")
         # operator.index(True) is 1, so booleans are rejected by name first.
-        for name, value in (("ks", self.ks), ("n_steps", self.n_steps), ("m_comb", self.m_comb)):
+        for name, value in (("ks", self.ks), ("n_steps", self.n_steps)):
             values = value if isinstance(value, (list, tuple)) else (value,)
             if any(isinstance(v, bool) for v in values):
                 raise TypeError(f"{name}: booleans are not integers, got {value!r}")
         try:
             ks, ns = (tuple(map(operator.index, v)) for v in (self.ks, self.n_steps))
-            m_comb = operator.index(self.m_comb)
         except TypeError:
             raise TypeError(
-                "ks and n_steps must be sequences of integers and m_comb an "
-                f"integer, got ks={self.ks!r}, n_steps={self.n_steps!r}, "
-                f"m_comb={self.m_comb!r}"
+                "ks and n_steps must be sequences of integers, "
+                f"got ks={self.ks!r}, n_steps={self.n_steps!r}"
             ) from None
         for name, values in (("ks", ks), ("n_steps", ns)):
             if not values:
@@ -83,28 +86,20 @@ class ExperimentSpec:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"{name} repeats {repeated}; list each value once")
-        SolverConfig.check_integers(
-            m_comb=m_comb, r=self.r, gh_points=self.gh_points,
-            init_substeps=self.init_substeps,
-        )
-        for k in ks:
-            SolverConfig.check_integers(k=k)
-        SolverConfig.check_init_mode(self.init_mode)
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "n_steps", ns)
-        object.__setattr__(self, "m_comb", m_comb)
-        floor = max(ks) + m_comb - 1
-        bad = [(k, n) for k in ks for n in ns if n < k + m_comb - 1]
-        if bad:
-            raise ValueError(
-                f"every n_steps must be at least k + m_comb - 1; offending "
-                f"(k, n_steps) pairs: {bad} (smallest admissible for the "
-                f"largest k is {floor})"
-            )
+        first = self.configs()[0]
+        for name in _SOLVER_FIELDS:
+            object.__setattr__(self, name, getattr(first, name))
 
     def cells(self) -> list[tuple[int, int]]:
         """All (k, n_steps) pairs in deterministic ascending (k, n) order."""
         return sorted((k, n) for k in self.ks for n in self.n_steps)
+
+    def configs(self) -> list[SolverConfig]:
+        """Every cell's :class:`~fbsde.stepper.SolverConfig`, in :meth:`cells` order."""
+        settings = {name: getattr(self, name) for name in _SOLVER_FIELDS}
+        return [SolverConfig(k=k, n_steps=n, **settings) for k, n in self.cells()]
 
 
 @dataclass
@@ -167,16 +162,11 @@ def _reference(problem: FbsdeProblem) -> tuple[np.ndarray | None, np.ndarray | N
     return y_ref, z_ref
 
 
-def run_cell(
-    problem: FbsdeProblem,
-    k: int,
-    n_steps: int,
-    overrides: dict,
-) -> CellResult:
+def run_cell(problem: FbsdeProblem, cfg: SolverConfig) -> CellResult:
     """Solve one (k, n_steps) cell, converting solver failures into status;
     a non-finite value is one, as ``solve`` raises NonFiniteValue for it."""
+    k, n_steps = cfg.k, cfg.n_steps
     try:
-        cfg = SolverConfig(k=k, n_steps=n_steps, **overrides)
         t0 = time.perf_counter()
         result = solve(problem, cfg)
         wall_time = time.perf_counter() - t0
@@ -215,22 +205,19 @@ def _fit_rates(ks, cells) -> dict:
     """
     rates: dict = {}
     for k in ks:
-        ok = [c for c in cells if c.k == k and c.status == "ok" and c.y_errors]
+        ok = sorted(
+            (c for c in cells if c.k == k and c.status == "ok" and c.y_errors),
+            key=lambda c: c.n_steps,
+        )
         if len(ok) < 2:
             continue
-        ok.sort(key=lambda c: c.n_steps)
         ns = [c.n_steps for c in ok]
-        ny = len(ok[0].y_errors)
-        nz = len(ok[0].z_errors)
         rates[str(k)] = {
-            "y": [
-                _defined(fit_convergence_rate(ns, [c.y_errors[i] for c in ok]))
-                for i in range(ny)
-            ],
-            "z": [
-                _defined(fit_convergence_rate(ns, [c.z_errors[i] for c in ok]))
-                for i in range(nz)
-            ],
+            q: [
+                _defined(fit_convergence_rate(ns, errors))
+                for errors in zip(*(getattr(c, f"{q}_errors") for c in ok))
+            ]
+            for q in ("y", "z")
         }
     return rates
 
@@ -249,7 +236,7 @@ def run_experiment(
     still run, with a warning.
     """
     problem = get_problem(spec.problem)
-    for k in sorted(set(spec.ks)):
+    for k in sorted(spec.ks):
         if not stability_report(k, spec.m_comb).is_stable:
             warnings.warn(
                 f"scheme k={k}, m_comb={spec.m_comb} fails the root condition; "
@@ -257,22 +244,14 @@ def run_experiment(
                 stacklevel=2,
             )
     start = time.monotonic()
-    overrides = {
-        "m_comb": spec.m_comb,
-        "r": spec.r,
-        "gh_points": spec.gh_points,
-        "init_mode": spec.init_mode,
-        "init_substeps": spec.init_substeps,
-    }
-
     results: list[CellResult] = []
-    for k, n in spec.cells():
+    for cfg in spec.configs():
         if budget_seconds is not None and time.monotonic() - start >= budget_seconds:
             results.append(CellResult(
-                k=k, n_steps=n, status="skipped", message="budget exhausted"
+                k=cfg.k, n_steps=cfg.n_steps, status="skipped", message="budget exhausted"
             ))
         else:
-            results.append(run_cell(problem, k, n, overrides))
+            results.append(run_cell(problem, cfg))
 
     rates = _fit_rates(spec.ks, results)
     y_ref, z_ref = _reference(problem)
@@ -330,20 +309,16 @@ def report_to_csv(report: Report) -> str:
         if c.status != "ok":
             emit(c.k, c.n_steps, "status", None, c.status, c.message)
             continue
-        for i, v in enumerate(c.y_errors or []):
-            emit(c.k, c.n_steps, f"y_error_{i}", v, c.status)
-        for i, v in enumerate(c.z_errors or []):
-            emit(c.k, c.n_steps, f"z_error_{i}", v, c.status)
-        for i, v in enumerate(c.y0 or []):
-            emit(c.k, c.n_steps, f"y0_{i}", v, c.status)
-        for i, v in enumerate(c.z0 or []):
-            emit(c.k, c.n_steps, f"z0_{i}", v, c.status)
+        for metric, values in (
+            ("y_error", c.y_errors), ("z_error", c.z_errors), ("y0", c.y0), ("z0", c.z0)
+        ):
+            for i, v in enumerate(values or []):
+                emit(c.k, c.n_steps, f"{metric}_{i}", v, c.status)
         emit(c.k, c.n_steps, "wall_time_s", c.wall_time_s, c.status)
     for k in sorted(report.rates, key=int):
-        for i, v in enumerate(report.rates[k]["y"]):
-            emit(k, "", f"rate_y_{i}", v, "ok")
-        for i, v in enumerate(report.rates[k]["z"]):
-            emit(k, "", f"rate_z_{i}", v, "ok")
+        for q in ("y", "z"):
+            for i, v in enumerate(report.rates[k][q]):
+                emit(k, "", f"rate_{q}_{i}", v, "ok")
     return "\n".join(lines) + "\n"
 
 
@@ -367,24 +342,16 @@ def report_to_markdown(report: Report) -> str:
         out.append("| " + " | ".join(header) + " |")
         out.append("|" + "---|" * len(header))
         rates = report.rates.get(str(k), {})
-        ny = max((len(c.y_errors) for c in cells.values() if c.y_errors), default=0)
-        nz = max((len(c.z_errors) for c in cells.values() if c.z_errors), default=0)
-        for i in range(ny):
-            row = [f"|Y⁰−Y(0,x0)|_{i}"]
-            for n in ns:
-                c = cells[n]
-                row.append(_fmt_err(c.y_errors[i] if c.y_errors else None))
-            rate = rates.get("y", [None] * ny)[i] if rates else None
-            row.append(f"{rate:.2f}" if rate is not None else "—")
-            out.append("| " + " | ".join(row) + " |")
-        for i in range(nz):
-            row = [f"|Z⁰−Z(0,x0)|_{i}"]
-            for n in ns:
-                c = cells[n]
-                row.append(_fmt_err(c.z_errors[i] if c.z_errors else None))
-            rate = rates.get("z", [None] * nz)[i] if rates else None
-            row.append(f"{rate:.2f}" if rate is not None else "—")
-            out.append("| " + " | ".join(row) + " |")
+        for q in ("y", "z"):
+            errors = [getattr(cells[n], f"{q}_errors") for n in ns]
+            for i in range(max((len(e) for e in errors if e), default=0)):
+                rate = rates[q][i] if rates else None
+                row = [
+                    f"|{q.upper()}⁰−{q.upper()}(0,x0)|_{i}",
+                    *(_fmt_err(e[i] if e else None) for e in errors),
+                    f"{rate:.2f}" if rate is not None else "—",
+                ]
+                out.append("| " + " | ".join(row) + " |")
         row = ["time (s)"]
         for n in ns:
             c = cells[n]

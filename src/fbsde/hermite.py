@@ -35,24 +35,27 @@ class QuadratureRule1D:
 
 @dataclass(frozen=True)
 class TensorRule:
-    """Tensor product of identical 1-D rules over n axes."""
+    """Tensor product of identical 1-D rules over n axes; its dense nodes and
+    weights are built once, with the rule, and are read-only."""
 
     dim: int
     base: QuadratureRule1D
 
-    @property
-    def npoints(self) -> int:
-        return self.base.npoints**self.dim
-
-    def points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (Q, dim) node array and (Q,) weight array, lexicographic order."""
+    def __post_init__(self) -> None:
         grids = np.meshgrid(*([self.base.nodes] * self.dim), indexing="ij")
         pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
         wgrids = np.meshgrid(*([self.base.weights] * self.dim), indexing="ij")
-        w = np.ones(self.npoints)
-        for wg in wgrids:
-            w = w * wg.reshape(-1)
-        return pts, w
+        w = math.prod((wg.reshape(-1) for wg in wgrids), start=np.ones(len(pts)))
+        pts.flags.writeable = w.flags.writeable = False
+        object.__setattr__(self, "_points", (pts, w))
+
+    @property
+    def npoints(self) -> int:
+        return len(self._points[1])
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (Q, dim) node array and (Q,) weight array, lexicographic order."""
+        return self._points
 
 
 def _hermite_recurrence(

@@ -305,8 +305,9 @@ def interpolate_values(
 
     Returns
     -------
-    (levels·Q,) + rest array of interpolated values, level-major, of the
-    dtype of ``values``.
+    (levels·Q,) + rest array of interpolated values, level-major, in the
+    dtype the kernel computes in: ``np.result_type`` of the levels' dtypes
+    and float64.
     """
     if r < 0:
         raise ValueError(f"interpolation degree must be >= 0, got {r}")
@@ -434,4 +435,4 @@ def interpolate_values(
                 else _scratch(f"sums{ax}", (width,) + block.shape[2:], dtype)
             )
             block = np.sum(block, axis=1, out=sums)
-    return out.reshape(out.shape[:1] + rest).astype(values.dtype, copy=False)
+    return out.reshape(out.shape[:1] + rest)

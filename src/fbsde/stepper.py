@@ -154,9 +154,13 @@ class SolverConfig:
     the spatial error h^(r+1) against the time error Δt^(k+1).  The implicit
     Y-update and the coupled outer loop run to fixed tolerances and
     iteration caps (``_PICARD_TOL``/``_PICARD_MAX``,
-    ``_OUTER_TOL``/``_OUTER_MAX``).  Integer fields and ``init_mode`` are
-    checked when the config is built (:meth:`check_integers`,
-    :meth:`check_init_mode`).
+    ``_OUTER_TOL``/``_OUTER_MAX``).  Building a config checks every field,
+    and nothing else checks them: an integer field must be an integer in its
+    :data:`_INTEGER_RANGES` range, n_steps at least k + m_comb − 1 and
+    ``init_mode`` 'exact' or 'ramp'.  A non-integer (a bool too) raises
+    TypeError and any other bad value ValueError, naming the field.  Integer
+    fields are stored as ``operator.index`` of their values, so ``asdict``
+    of a config holds plain ints.
     """
 
     k: int
@@ -168,30 +172,8 @@ class SolverConfig:
     init_substeps: int = 1
 
     def __post_init__(self) -> None:
-        self.check_integers(**{name: getattr(self, name) for name in _INTEGER_RANGES})
-        if self.n_steps < self.k + self.m_comb - 1:
-            raise ValueError(
-                f"n_steps must be at least k + m_comb - 1 = "
-                f"{self.k + self.m_comb - 1}, got {self.n_steps}"
-            )
-        self.check_init_mode(self.init_mode)
-
-    @staticmethod
-    def check_init_mode(init_mode) -> None:
-        """Raise ValueError unless ``init_mode`` is 'exact' or 'ramp'."""
-        if init_mode not in ("exact", "ramp"):
-            raise ValueError(f"init_mode must be 'exact' or 'ramp', got {init_mode!r}")
-
-    @staticmethod
-    def check_integers(**fields) -> None:
-        """Raise unless each named integer field is an integer in its range.
-
-        ``fields`` maps names of :data:`_INTEGER_RANGES` to values; ``r`` and
-        ``gh_points`` may be None.  A non-integer raises TypeError and an
-        integer out of range ValueError, both naming the field.  Booleans are
-        not integers here, though ``operator.index(True)`` is 1.
-        """
-        for name, value in fields.items():
+        for name, (low, high) in _INTEGER_RANGES.items():
+            value = getattr(self, name)
             if value is None and name in ("r", "gh_points"):
                 continue
             try:
@@ -200,9 +182,16 @@ class SolverConfig:
                 value = operator.index(value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
-            low, high = _INTEGER_RANGES[name]
             if not low <= value <= high:
                 raise ValueError(f"{name} must be in {low}..{high}, got {value}")
+            setattr(self, name, value)
+        if self.n_steps < self.k + self.m_comb - 1:
+            raise ValueError(
+                f"n_steps must be at least k + m_comb - 1 = {self.k + self.m_comb - 1} "
+                f"at (k, n_steps) = ({self.k}, {self.n_steps})"
+            )
+        if self.init_mode not in ("exact", "ramp"):
+            raise ValueError(f"init_mode must be 'exact' or 'ramp', got {self.init_mode!r}")
 
 
 @dataclass

@@ -64,7 +64,7 @@ def test_spec_validation():
         ExperimentSpec(problem="example1", ks=3)
     with pytest.raises(TypeError, match="m_comb"):
         ExperimentSpec(problem="example1", m_comb="4")
-    with pytest.raises(TypeError, match="m_comb: booleans are not integers"):
+    with pytest.raises(TypeError, match="m_comb must be an integer, got True"):
         ExperimentSpec(problem="example1", m_comb=True)
     with pytest.raises(TypeError, match="n_steps: booleans are not integers"):
         ExperimentSpec(problem="example1", n_steps=(8, False))
@@ -87,6 +87,21 @@ def test_spec_validation():
     with pytest.raises(ValueError, match=r"k must be in 3\.\.9, got 10"):
         ExperimentSpec(problem="example1", ks=(3, 10), n_steps=(20,))
     assert ExperimentSpec(problem="example1", ks=(3, 9), m_comb=1).ks == (3, 9)
+
+
+def test_numpy_integer_settings_round_trip_through_json():
+    """Every setting is normalized by SolverConfig, so numpy integers reach
+    neither the report's config nor a cell's diagnostics."""
+    spec = ExperimentSpec(
+        problem="example1", ks=(np.int64(3),), n_steps=(np.int64(8),),
+        m_comb=np.int64(4), r=np.int64(10), gh_points=np.int32(10),
+        init_substeps=np.int64(1),
+    )
+    rep = run_experiment(spec)
+    assert rep.cells[0].status == "ok"
+    assert report_from_json(report_to_json(rep)) == rep
+    assert all(type(v) is int for v in asdict(spec).values() if not isinstance(v, (str, tuple)))
+    assert spec.configs() == [SolverConfig(k=3, n_steps=8, r=10, gh_points=10)]
 
 
 def test_spec_cells_sorted_and_overrides():
@@ -183,7 +198,7 @@ def test_unstable_scheme_warns_and_cell_fails():
 
 def test_run_cell_error_bookkeeping():
     problem = get_problem("example1")
-    cell = run_cell(problem, 3, 8, {})
+    cell = run_cell(problem, SolverConfig(k=3, n_steps=8))
     assert cell.status == "ok"
     y_ref = float(problem.analytic_y(0.0, problem.x0)[0])
     assert cell.y_errors[0] == pytest.approx(abs(cell.y0[0] - y_ref), abs=0)
@@ -192,9 +207,9 @@ def test_run_cell_error_bookkeeping():
 
 def test_run_cell_converts_failures_to_status():
     problem = get_problem("example1")
-    cell = run_cell(problem, 3, 8, {"r": -3})
+    cell = run_cell(problem, SolverConfig(k=3, n_steps=8, r=10**9))
     assert cell.status == "failed"
-    assert cell.message and cell.y0 is None
+    assert cell.message.startswith("TooManyNodes") and cell.y0 is None
 
 
 def test_run_cell_records_a_nan_driver_as_failed():
@@ -203,7 +218,7 @@ def test_run_cell_records_a_nan_driver_as_failed():
     problem = dataclasses.replace(
         get_problem("example1"), f=lambda t, x, y, z: np.full_like(y, np.nan)
     )
-    cell = run_cell(problem, 3, 8, {})
+    cell = run_cell(problem, SolverConfig(k=3, n_steps=8))
     assert cell.status == "failed"
     assert cell.message.startswith("NonFiniteValue: ")
     assert cell.y0 is None and cell.z0 is None

@@ -1,6 +1,7 @@
 """Command-line interface tests (argument plumbing, formats, exit codes)."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import fbsde
+from fbsde import cli
+from fbsde.bench import ExperimentSpec
 from fbsde.cli import build_parser, main
 from fbsde.stepper import SolverConfig
 
@@ -183,6 +186,10 @@ def test_run_requires_problem(capsys):
     code, _, err = run_cli(capsys, "run", "--nt", "8")
     assert code == 2
     assert "problem is required" in err
+
+
+def test_run_exposes_every_sweep_setting():
+    assert set(cli._RUN_FIELDS.values()) == {f.name for f in dataclasses.fields(ExperimentSpec)}
 
 
 def test_run_rejects_inadmissible_grid(capsys):

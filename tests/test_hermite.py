@@ -110,6 +110,16 @@ def test_tensor_rule_structure():
     assert pts[:3, 1] == pytest.approx(base, abs=0)
 
 
+def test_tensor_rule_points_are_built_once_and_read_only():
+    rule = gauss_hermite_tensor(4, 2)
+    pts, w = rule.points()
+    again = rule.points()
+    assert again[0] is pts and again[1] is w
+    assert not pts.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.0
+
+
 def test_tensor_dim_validated():
     with pytest.raises(ValueError):
         gauss_hermite_tensor(3, 0)

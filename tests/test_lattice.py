@@ -108,6 +108,15 @@ def test_node_queries_return_stored_values_bitwise():
     assert np.array_equal(got, values)
 
 
+def test_integer_values_interpolate_in_float64():
+    """Integer data is read in the kernel's float64, not truncated back."""
+    lat = build_lattice(0.0, 1.0, 5.0)
+    got = interpolate_values(lat, np.arange(11), [[0.5]], 3)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, interpolate_values(lat, np.arange(11.0), [[0.5]], 3))
+    assert got.tolist() == [5.5]
+
+
 @pytest.mark.parametrize(
     "center, radius, m", [(0.2, 1.0, 1), ([0.1, -0.2], [0.6, 0.4], 2)], ids=["1d-m1", "2d-m2"]
 )
@@ -155,7 +164,7 @@ def test_gather_matches_per_axis_weighting_bitwise(monkeypatch):
     assert np.array_equal(got, want)
     ints = np.round(values * 100).astype(int)
     got_int = interpolate_values(lat, ints, queries, r)
-    want_int = interpolate_values(lat, ints.astype(float), queries, r).astype(int)
+    want_int = interpolate_values(lat, ints.astype(float), queries, r)
     assert np.array_equal(got_int, want_int)
 
 

@@ -121,6 +121,25 @@ def test_config_rejects_non_integer_r_and_gh_points(kwargs):
         SolverConfig(**{"k": 3, "n_steps": 16, **kwargs})
 
 
+def test_config_names_the_cell_below_the_step_floor():
+    with pytest.raises(ValueError, match=r"= 8 at \(k, n_steps\) = \(5, 6\)"):
+        SolverConfig(k=5, n_steps=6)
+
+
+def test_config_stores_numpy_integers_as_python_ints():
+    cfg = SolverConfig(
+        k=np.int64(3), n_steps=np.int64(8), m_comb=np.int32(4), r=np.int64(10),
+        gh_points=np.int16(8), init_substeps=np.uint8(2),
+    )
+    fields = dataclasses.asdict(cfg)
+    assert fields == dict(
+        k=3, n_steps=8, m_comb=4, r=10, gh_points=8, init_mode="exact", init_substeps=2
+    )
+    assert all(type(fields[name]) is int for name in fields if name != "init_mode")
+    plain = dataclasses.asdict(SolverConfig(k=np.int64(3), n_steps=np.int64(8)))
+    assert type(plain["k"]) is int and type(plain["n_steps"]) is int
+
+
 def test_config_accepts_minimum_steps():
     SolverConfig(k=3, n_steps=6)
     SolverConfig(k=9, n_steps=12)
