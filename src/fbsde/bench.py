@@ -2,10 +2,10 @@
 
 An experiment sweeps the scheme order k and the time-step count over one
 benchmark problem.  Its spec builds every cell's SolverConfig when it is made,
-so the solver settings are checked there and only there; each cell then
+and SolverConfig is the only code that checks a solver setting.  Each cell
 solves with its config and records the absolute errors of (Y, Z) at
-(t = 0, x0) against the closed-form solution, and per k the errors of each
-component are fitted to an empirical convergence rate.
+(t = 0, x0) against the closed-form solution; per k, an empirical
+convergence rate is fitted to each error component.
 Reports serialize to JSON (lossless round-trip), CSV (long format, one row
 per (k, n_steps, metric), fixed column order), or Markdown (one table per k
 with an error column per n_steps and a fitted-rate column).
@@ -165,14 +165,13 @@ def _reference(problem: FbsdeProblem) -> tuple[np.ndarray | None, np.ndarray | N
 def run_cell(problem: FbsdeProblem, cfg: SolverConfig) -> CellResult:
     """Solve one (k, n_steps) cell, converting solver failures into status;
     a non-finite value is one, as ``solve`` raises NonFiniteValue for it."""
-    k, n_steps = cfg.k, cfg.n_steps
     try:
         t0 = time.perf_counter()
         result = solve(problem, cfg)
         wall_time = time.perf_counter() - t0
     except Exception as exc:  # recorded, not raised: one bad cell ≠ dead sweep
         return CellResult(
-            k=k, n_steps=n_steps, status="failed",
+            k=cfg.k, n_steps=cfg.n_steps, status="failed",
             message=f"{type(exc).__name__}: {exc}",
         )
     y_ref, z_ref = _reference(problem)
@@ -181,8 +180,8 @@ def run_cell(problem: FbsdeProblem, cfg: SolverConfig) -> CellResult:
         np.abs(result.z0 - z_ref).ravel().tolist() if z_ref is not None else None
     )
     return CellResult(
-        k=k,
-        n_steps=n_steps,
+        k=cfg.k,
+        n_steps=cfg.n_steps,
         status="ok",
         y0=result.y0.tolist(),
         z0=result.z0.ravel().tolist(),
