@@ -14,6 +14,7 @@ cancellation (Σ of the window sums is exactly zero) matters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,12 +83,14 @@ class WeightSet:
         )
 
 
+@functools.cache
 def solve_weights(k: int, m: int) -> WeightSet:
     """Solve the moment system for the (k, m) combined-scheme weights.
 
     Exact Gaussian elimination with partial pivoting (largest |rational| in the
     pivot column).  The right-hand side is the first-moment unit vector
-    (0, 1, 0, …, 0).
+    (0, 1, 0, …, 0).  The result depends on (k, m) only and is immutable, so
+    it is solved once per process and every later call returns that object.
 
     Raises
     ------

@@ -12,13 +12,19 @@ weights (-1)^i·C(r, i) (Berrut & Trefethen, SIAM Review 46, 2004), which
 reproduces polynomials of degree ≤ r up to rounding and returns stored
 values bit-exactly when the query hits a node.
 
-The kernel is stencil-major: stencil weights and gather indices are laid
-out with the stencil index outermost and the queries innermost,
-(r+1,)*dim + (queries,), and the gathered values as (values per node,) +
-(r+1,)*dim + (queries,).  Every array operation then runs over many queries
-contiguously rather than over one short stencil row, or one node's few
-values, at a time, and each sum over a stencil's r+1 entries adds them in
-index order, one contiguous slab of queries per entry.
+The kernel is stencil-major: stencil weights are laid out with the stencil
+index outermost and the queries innermost, (r+1, queries) per axis, and
+gathered values as (r+1, ..., queries, values per node).  Every array
+operation then runs over many queries contiguously rather than over one
+short stencil row at a time, and each sum over a stencil's r+1 entries adds
+them in index order, one contiguous slab of queries per entry (a block of
+one query too).  The values are read from a shifted table that holds each
+node's r+1 last-axis neighbours, so one index per query gathers a stencil's
+whole last-axis run, every value of each node at once.  In 1-D that run is
+the stencil; from 2-D on the kernel loops over the axis-0 offsets, weights
+each offset's runs and adds them up before the other axes reduce, so no
+(r+1)^dim-entry block or index per query is ever built, and every product
+and sum is that of weighting a full tensor gather axis by axis.
 
 One call may read several levels of the same grid (shared origin, h and
 dim), each at its own queries: their values are laid end to end and each
@@ -27,10 +33,11 @@ hull check and one-sided stencils.  A one-level call is the group of one.
 Many small reads then cost one call's fixed overhead instead of one each,
 and every result is the one a call per level would give, to the bit.
 
-The kernel's block-sized arrays (node index, stencil weights, gathered block
-and partial axis sums) live in a per-thread workspace that is kept between
+The kernel's block-sized arrays (run index, stencil weights, gathered runs,
+partial sums and repeated weights) live in a per-thread workspace that is kept between
 calls, so a solve does not allocate, and have the kernel zero-fill, the same
-pages again for every block.
+pages again for every block.  The shifted table, r+1 times the levels'
+values, is built per call.
 """
 
 from __future__ import annotations
@@ -46,8 +53,8 @@ import numpy as np
 
 MAX_NODES = 100_000_000
 
-#: Bytes of stencil values and node indices that one block of queries in
-#: `interpolate_values` gathers; memory stays flat however many queries come.
+#: Bytes of the buffers that one block of queries in `interpolate_values`
+#: holds; memory stays flat however many queries come.
 #: `fbsde.stepper.conditional_expectations` groups its spans' quadrature
 #: terms by the same budget.  Both take their buffers from `_scratch`, which
 #: keeps one block's worth per thread at the largest budget used so far.
@@ -216,7 +223,7 @@ def _stencil_constants(r: int) -> tuple[np.ndarray, np.ndarray]:
 def _stencil_grid(r: int, dim: int) -> np.ndarray:
     """Read-only (dim, (r+1)^dim) integer offsets of every entry of a
     degree-r tensor stencil, in row-major stencil order."""
-    grid = np.indices((r + 1,) * dim).reshape(dim, -1)
+    grid = np.indices((r + 1,) * dim).reshape(dim, (r + 1) ** dim)
     grid.flags.writeable = False
     return grid
 
@@ -256,15 +263,70 @@ def _stencil_weights(
     hit = np.abs(local - nearest) < NODE_SNAP_TOL
     if np.any(hit):
         w[:, hit] = offsets == nearest[hit]
-    w /= np.sum(w, axis=0)
+    w /= _stencil_sum(w, 0)
     return w
 
 
+def _stencil_sum(
+    a: np.ndarray, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``np.sum(a, axis, out=out)`` over a stencil axis of a stencil-major
+    array, adding its entries in index order whatever the number of queries.
+
+    numpy adds a reduced axis that is not its innermost loop one slab at a
+    time, in index order, from 0.0.  When only axes of length 1 follow the
+    stencil axis (one query, one value per node), the stencil axis becomes
+    that loop and numpy sums it pairwise, which rounds differently from nine
+    entries up; the slabs are then added one by one, so a one-query block
+    gives the bits of the same query in a batch.
+    """
+    if math.prod(a.shape[axis + 1 :]) != 1:
+        return np.sum(a, axis=axis, out=out)
+    if out is None:
+        out = np.empty(a.shape[:axis] + a.shape[axis + 1 :], a.dtype)
+    out[...] = 0.0
+    for row in np.moveaxis(a, axis, 0):
+        out += row
+    return out
+
+
+def _widen(w: np.ndarray, width: int, role: str) -> np.ndarray:
+    """Weights ``w`` of shape (..., q) repeated over a node's ``width``
+    values, (..., q, width), so that they multiply a block of values in one
+    contiguous loop.  The repeats go into this thread's buffer for ``role``;
+    one value per node needs no copy, and gets a (..., q, 1) view of ``w``."""
+    if width == 1:
+        return w[..., None]
+    wide = _scratch(role, w.shape + (width,), w.dtype)
+    for v in range(width):
+        wide[..., v] = w
+    return wide
+
+
 def _block_rows(r: int, dim: int, width: int) -> int:
-    """Queries per block of `interpolate_values` (one at least): its node
-    index and gathered values, (r+1)^dim·(width + 1) words per query, fill
-    at most ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // ((r + 1) ** dim * (width + 1) * 8))
+    """Queries per block of `interpolate_values` (one at least), such that
+    the block's buffers fill at most ``_BLOCK_BYTES``.
+
+    In 1-D a query takes (r+1)·(width + 1) words: its gathered values and
+    weights (its one index word is left out, so 1-D blocks keep the size
+    they had when the index took r+1 words and shared the weights' buffer).
+    From 2-D on it takes its partial sum and one axis-0 offset's gathered
+    runs, width·(r+1)^(dim−1) words each, the partial sums of axes
+    1..dim−2, its dim·(r+1) weights, (r+1)^(dim−2) run indices and, with
+    more than one value per node, one row of repeated weights: 69 words in
+    2-D at r = 10 and width 2, where a full gather took 363.
+    """
+    if dim == 1:
+        words = (r + 1) * (width + 1)
+    else:
+        words = (
+            2 * width * (r + 1) ** (dim - 1)
+            + sum(width * (r + 1) ** k for k in range(1, dim - 1))
+            + dim * (r + 1)
+            + (r + 1) ** (dim - 2)
+            + (width if width > 1 else 0)
+        )
+    return max(1, _BLOCK_BYTES // (words * 8))
 
 
 def interpolate_values(
@@ -282,14 +344,18 @@ def interpolate_values(
     ``queries`` is read on level ℓ of the call.  The levels must share
     origin, h, dim and the values' trailing shape; each keeps its own hull
     check and its own one-sided stencils.  Queries run in blocks whose
-    gather takes at most ``_BLOCK_BYTES`` (one query at least): a block
-    holds whole levels when one level's queries fit, and otherwise a slice
-    of one level's rows.  Each result depends on its own query and level
-    only, so grouping never changes a bit.  A block's node index (whose
-    buffer then takes the stencil weights), gathered values and partial
-    axis sums are written into this thread's `_scratch` buffers, reused from
-    call to call, so a repeated call of the same size allocates nothing
-    block-sized; the result is always a fresh array.
+    buffers take at most ``_BLOCK_BYTES`` (one query at least, see
+    `_block_rows`): a block holds whole levels when one level's queries
+    fit, and otherwise a slice of one level's rows.  Each result depends on
+    its own query and level only, and every stencil sum adds in index order
+    however many queries a block has, so grouping never changes a bit.  The
+    values are staged once per call in a shifted table, (r+1, nodes of all
+    levels, values per node), r+1 times their size, whose row o holds each
+    node's o-th neighbour along the last axis.  A block's run index,
+    weights, gathered runs and partial sums are written into this thread's
+    `_scratch` buffers, reused from call to call, so a repeated call of the
+    same size allocates nothing block-sized; the result is always a fresh
+    array.
 
     Parameters
     ----------
@@ -368,40 +434,50 @@ def interpolate_values(
             err.level = bad
             raise err
 
-    # Gather through one row-major node index into all levels' grids, laid
-    # end to end in ``flat``: a single-index take is several times faster
-    # than a per-axis fancy index, and the gathered block is then weighted in
-    # place.  The arithmetic, and so every bit of the result, is the same as
-    # weighting a fresh copy.  Index and weights are stencil-major, shape
-    # (r+1,)*dim + (q,), and the block puts the values of a node outermost,
-    # (values,) + (r+1,)*dim + (q,), so every multiply and each axis's
-    # weighted sum run over contiguous slabs of queries, adding the
-    # stencil's r+1 entries in index order; the last sum goes straight into
-    # the block's rows of the result.  The hull test has passed and the
-    # starts are clamped into [lo, hi − r] of their own level, so every
-    # index is in range and the take may skip its own check (mode="clip"),
-    # which also lets it write into the buffer without a copy.
+    # Gather from a shifted table of all levels' values laid end to end:
+    # shifted[o, s] holds the values of node s + o of the flat row-major
+    # sequence, for o = 0..r, so row o holds every node's o-th last-axis
+    # neighbour and a stencil's whole last-axis run is one index s.  A
+    # node's values stay adjacent, so each index copies all of them at once.
+    # The zero padding past the last node is never read: stencils stay
+    # inside their own level.  The index of a run is Σ_ax start_ax·stride_ax
+    # plus the offsets of axes 1..dim−2 and the level's corner, its first
+    # node less Σ_ax lo_ax·stride_ax; the offsets' part and the corner form
+    # a fixed table, shape (r+1,)*(dim−2) + (levels, 1), and each level's
+    # lo, hi and strides broadcast as (levels, 1) columns, so a block of
+    # several levels writes its index in one pass.  The hull test has passed
+    # and the starts are clamped into [lo, hi − r] of their own level, so
+    # every index is in range and the take may skip its own check
+    # (mode="clip"), which also lets it write into the buffer without a copy.
     #
-    # The index of stencil entry o of a query is Σ_ax (start_ax + o_ax)·
-    # stride_ax plus its level's corner, the level's first node in ``flat``
-    # less Σ_ax lo_ax·stride_ax.  The offsets' part and the corner form a
-    # fixed table, shape (r+1,)*dim + (levels, 1); the last axis has stride
-    # 1 on every level, and each level's lo, hi and strides broadcast as
-    # (levels, 1) columns, so a block of several levels writes its index in
-    # a single pass.
+    # In 1-D one take gathers the block, (r+1, q, values).  From 2-D on, the
+    # loop over the axis-0 offsets gathers that offset's runs, weights them
+    # and adds them to a partial sum from 0.0, as np.sum does: the products
+    # and the order of every sum are those of weighting a full (r+1)^dim
+    # gather and summing it axis by axis, and so is every bit of the result.
+    # The partial sum is laid out (r+1 of the last axis) + (r+1 of axes
+    # 1..dim−2) + (q, values); axes 1..dim−2 then reduce in order and the
+    # last axis last, straight into the block's rows of the result.  Weights
+    # are repeated over a node's values (`_widen`), so every multiply and
+    # sum runs over contiguous slabs of queries.
     width = math.prod(rest)
     dtype = np.result_type(*(vals.dtype for _, vals in levels), np.float64)
-    flat = np.empty((width, sum(lat.num_nodes for lat, _ in levels)), dtype=dtype)
+    total = sum(lat.num_nodes for lat, _ in levels)
+    shifted = np.empty((r + 1, total, width), dtype=dtype)
     strides, corners, first = [], [], 0
     for (lat, vals), low in zip(levels, lo.tolist()):
         stride = [math.prod(lat.shape[ax + 1 :]) for ax in range(dim)]
         strides.append(stride)
         corners.append(first - sum(map(operator.mul, low, stride)))
         size = lat.num_nodes
-        flat[:, first : first + size] = vals.reshape(size, width).T
+        shifted[0, first : first + size] = vals.reshape(size, width)
         first += size
+    for o in range(1, r + 1):
+        shifted[o, : total - o] = shifted[0, o:]
+        shifted[o, total - o :] = 0
     strides = np.array(strides)
-    table = ((strides @ _stencil_grid(r, dim)).T + corners).reshape((r + 1,) * dim + (g, 1))
+    lead = (r + 1,) * max(dim - 2, 0)
+    table = ((strides[:, 1:-1] @ _stencil_grid(r, len(lead))).T + corners).reshape(lead + (g, 1))
     out = np.empty((g * q, width), dtype=dtype)
     rows = _block_rows(r, dim, width)
     if q <= rows:
@@ -419,20 +495,32 @@ def interpolate_values(
         base = starts[-1]
         for ax in range(dim - 1):
             base = base + starts[ax] * strides[l0:l1, ax, None]
-        node = np.add(
-            table[..., l0:l1, :], base, out=_scratch("node", (r + 1,) * dim + base.shape, np.intp)
-        ).reshape((r + 1,) * dim + (n,))
-        block = _scratch("block", (width,) + node.shape, dtype)
-        np.take(flat, node, axis=1, out=block, mode="clip")
-        # The index is spent after the gather, and dim·(r+1) ≤ (r+1)^dim for
-        # r ≥ 1, so its buffer takes the weights: one block-sized buffer fewer.
-        spent = _scratch("node", (dim, r + 1, n), float)
-        for ax, w in enumerate(spent):
-            _stencil_weights((u[:, ax] - starts[ax]).reshape(n), r, out=w)
-            block *= w.reshape((r + 1,) + (1,) * (dim - 1 - ax) + (n,))
+        node = np.add(table[..., l0:l1, :], base, out=_scratch("node", lead + base.shape, np.intp))
+        index = node.reshape(lead + (n,))
+        weights = _scratch("weights", (dim, r + 1, n), float)
+        for ax in range(dim):
+            _stencil_weights((u[:, ax] - starts[ax]).reshape(n), r, out=weights[ax])
+        block = _scratch("block", (r + 1,) + index.shape + (width,), dtype)
+        if dim == 1:
+            np.take(shifted, index, axis=1, out=block, mode="clip")
+        else:
+            run = _scratch("run", block.shape, dtype)
+            block.fill(0.0)
+            for w in weights[0]:
+                np.take(shifted, index, axis=1, out=run, mode="clip")
+                run *= _widen(w, width, "row")
+                block += run
+                node += strides[l0:l1, 0, None]
+        # Axes 1..dim−2 lie at position 1 of the block, the last axis at 0.
+        # The spent runs' buffer takes their repeated weights; 1-D blocks,
+        # which have no such buffer, broadcast them instead.
+        for ax in range(1 if dim > 1 else 0, dim):
+            pos = 0 if ax == dim - 1 else 1
+            w = _widen(weights[ax], width, "run") if dim > 1 else weights[ax][..., None]
+            block *= w.reshape(w.shape[:1] + (1,) * (block.ndim - pos - 3) + w.shape[1:])
             sums = (
-                out[l0 * q + b0 : l0 * q + b0 + n].T if ax == dim - 1
-                else _scratch(f"sums{ax}", (width,) + block.shape[2:], dtype)
+                out[l0 * q + b0 : l0 * q + b0 + n] if ax == dim - 1
+                else _scratch(f"sums{ax}", block.shape[:pos] + block.shape[pos + 1 :], dtype)
             )
-            block = np.sum(block, axis=1, out=sums)
+            block = _stencil_sum(block, pos, sums)
     return out.reshape(out.shape[:1] + rest)

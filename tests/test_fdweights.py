@@ -133,8 +133,18 @@ def test_singular_system_detected(monkeypatch):
         return [[Fraction(1)] * n for _ in range(n)]
 
     monkeypatch.setattr(fd, "moment_matrix", degenerate)
+    fd.solve_weights.cache_clear()  # (2, 2) may be solved already
     with pytest.raises(SingularSystem):
         fd.solve_weights(2, 2)
+
+
+def test_weights_are_solved_once_per_k_m():
+    """A repeated (k, m) returns the first call's object, with the weights of
+    a fresh elimination."""
+    first = solve_weights(9, 4)
+    assert solve_weights(9, 4) is first
+    assert solve_weights.__wrapped__(9, 4) == first
+    assert solve_weights(9, 2) is not first
 
 
 def test_float_view_is_correctly_rounded():

@@ -135,37 +135,68 @@ def test_strided_values_interpolate_like_a_contiguous_copy(center, radius, m):
     assert got.tobytes() == want.tobytes()
 
 
-def test_gather_matches_per_axis_weighting_bitwise(monkeypatch):
-    # Reference: index each axis separately, weight a fresh copy, sum axis by
-    # axis, all in the stencil-major layout (stencil axes first, then the
-    # queries).  A budget of 8 queries' gather splits the 37 queries over 5
-    # blocks.
-    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * 5**2 * 3 * 8)
+def _budget_for(rows, r, dim, width):
+    """A ``_BLOCK_BYTES`` at which a block holds ``rows`` queries."""
+    return rows * (lattice._BLOCK_BYTES // lattice._block_rows(r, dim, width))
+
+
+@pytest.mark.parametrize(
+    "dim, r",
+    [pytest.param(dim, r, id=f"{dim}d-r{r}") for dim, r in
+     [(1, 18), (2, 4), (2, 10), (2, 18), (3, 4), (3, 8)]],
+)
+def test_gather_matches_per_axis_weighting_bitwise(monkeypatch, dim, r):
+    # Reference: index each axis separately, weight a fresh copy of the full
+    # (r+1)^dim gather, sum axis by axis, all in the stencil-major layout
+    # (stencil axes first, then the queries).  The degrees the solver uses
+    # have more than 8 stencil entries, where a pairwise sum would differ
+    # from the in-order one.  A budget of 8 queries splits the 37 queries
+    # over 5 blocks.
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", _budget_for(8, r, dim, 2))
+    assert lattice._block_rows(r, dim, 2) == 8
     rng = np.random.default_rng(5)
-    lat = build_lattice(np.array([0.1, -0.2]), 0.05, np.array([0.6, 0.4]))
+    h = 0.05
+    radius = np.array([0.6, 0.4, 0.3])[:dim] + r * h / 2
+    lat = build_lattice(np.array([0.1, -0.2, 0.3])[:dim], h, radius, r=r)
     values = rng.uniform(-3, 3, size=lat.shape + (2, 1))
-    queries = rng.uniform(-0.3, 0.3, size=(37, 2)) + lat.origin
-    r = 4
+    queries = rng.uniform(-1, 1, size=(37, dim)) * radius + lat.origin
     idx, weights = [], []
-    for ax in range(2):
+    for ax in range(dim):
         starts, w = _axis_stencil(
             (queries[:, ax] - lat.origin[ax]) / lat.h, r, int(lat.lo[ax]), int(lat.hi[ax])
         )
         assert w.shape == (r + 1, len(queries))
-        shape = [1, 1, len(queries)]
+        shape = [1] * dim + [len(queries)]
         shape[ax] = r + 1
         idx.append((starts - int(lat.lo[ax]) + np.arange(r + 1)[:, None]).reshape(shape))
         weights.append(w)
     want = values[tuple(idx)]
     for ax, w in enumerate(weights):
-        w = w.reshape((r + 1,) + (1,) * (1 - ax) + (len(queries), 1, 1))
+        w = w.reshape((r + 1,) + (1,) * (dim - 1 - ax) + (len(queries), 1, 1))
         want = np.sum(want * w, axis=0)
     got = interpolate_values(lat, values, queries, r)
-    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
     ints = np.round(values * 100).astype(int)
     got_int = interpolate_values(lat, ints, queries, r)
     want_int = interpolate_values(lat, ints.astype(float), queries, r)
     assert np.array_equal(got_int, want_int)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("r", [8, 10, 18])
+def test_one_query_calls_match_the_batched_call_bitwise(dim, r, width):
+    """A call of one query, whose block has one query, gives the bytes of
+    that query in a call of many: its stencil sums add in index order too,
+    where numpy would sum a lone query's stencil pairwise."""
+    rng = np.random.default_rng(r)
+    h = 0.05
+    lat = build_lattice(np.full(dim, 0.1), h, 0.5 + r * h / 2, r=r)
+    values = rng.uniform(-1e3, 1e3, size=lat.shape + (width,))
+    queries = lat.origin + rng.uniform(-0.5, 0.5, size=(60, dim))
+    batched = interpolate_values(lat, values, queries, r)
+    alone = np.concatenate([interpolate_values(lat, values, x[None], r) for x in queries])
+    assert alone.tobytes() == batched.tobytes()
 
 
 def test_degree_18_reproduces_polynomials_and_returns_nodes_bitwise():
@@ -209,7 +240,7 @@ def test_interpolation_memory_is_bounded_by_the_block_budget():
     finally:
         tracemalloc.stop()
     assert out.shape == (20_000, 2)
-    # One block's gather and indices, the summed block, and the per-query
+    # One block's buffers, the shifted table (0.3 MB), and the per-query
     # coordinates, overhangs and output (a few times queries.nbytes).
     assert peak < 1.5 * lattice._BLOCK_BYTES + 8 * queries.nbytes
 
@@ -217,10 +248,14 @@ def test_interpolation_memory_is_bounded_by_the_block_budget():
 def test_repeated_interpolation_allocates_nothing_block_sized():
     """After a warm-up, a call of the same size reuses the block buffers.
 
-    The 2,000 queries of a 2-D r = 10 gather take three blocks at the
-    default budget; one block's node index alone is 121 × 722 × 8 B ≈ 0.7 MB,
-    while the per-call arrays (coordinates, overhangs, output) are a few
-    times queries.nbytes = 32 kB.
+    The 2,000 queries of a 2-D r = 10 gather fit one block at the default
+    budget, whose buffers (partial sums, one axis-0 offset's runs, weights,
+    run index and repeated weights) take 69 × 2,000 × 8 B ≈ 1.1 MB.  The
+    bound, 699 kB (121 × 722 × 8 B, a block's node index when the kernel
+    gathered whole stencils), stays below that and above what a call
+    allocates afresh: the shifted table, 1,681 nodes × 2 values × 11
+    offsets × 8 B ≈ 0.3 MB, and the per-call arrays (coordinates,
+    overhangs, output), a few times queries.nbytes = 32 kB.
     """
     rng = np.random.default_rng(3)
     lat = build_lattice([0.0, 0.0], 0.05, 1.0, r=10)
@@ -411,20 +446,29 @@ def _grouped_inputs(dim, sizes, width=3, seed=0):
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize(
-    "budget", [None, 200, 30], ids=["one-block", "two-levels-a-block", "row-slices"]
+    "r, budget",
+    [
+        pytest.param(r, budget, id=name + ("" if r == 4 else f"-r{r}"))
+        for r in (4, 10, 18)
+        for budget, name in [
+            (None, "one-block"), (200, "two-levels-a-block"), (30, "row-slices"),
+            (32, "one-query-last-slice"),
+        ]
+    ],
 )
-def test_grouped_call_matches_one_call_per_level_bitwise(monkeypatch, dim, budget):
-    """One call over several levels gives the bytes of one call per level,
-    whether one block holds every level, a budget of 200 queries puts two
-    levels of 97 in a block and the third in another, or a budget of 30
-    splits each level over four blocks, the last one ragged."""
-    r = 4
-    if budget is not None:
-        monkeypatch.setattr(lattice, "_BLOCK_BYTES", budget * (r + 1) ** dim * 4 * 8)
-    levels, queries = _grouped_inputs(dim, [8, 11, 9])
+def test_grouped_call_matches_one_call_per_level_bitwise(monkeypatch, dim, r, budget):
+    """One call over several levels gives the bytes of one call per level at
+    the default budget, whether one block holds every level, a budget of
+    200 queries puts two levels of 97 in a block and the third in another, a
+    budget of 30 splits each level over four blocks, the last one ragged, or
+    a budget of 32 leaves one query in each level's last block."""
+    levels, queries = _grouped_inputs(dim, [max(n, r // 2) for n in (8, 11, 9)])
     want = np.concatenate([
         interpolate_values(lat, values, rows, r) for (lat, values), rows in zip(levels, queries)
     ])
+    if budget is not None:
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", _budget_for(budget, r, dim, 3))
+        assert lattice._block_rows(r, dim, 3) == budget
     (lat, values), *more = levels
     got = interpolate_values(lat, values, queries, r, more=more)
     assert got.shape == (3 * 97, 3)
