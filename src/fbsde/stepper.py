@@ -19,8 +19,10 @@ One step function computes a level.  With a, b ignoring (Y, Z) a single
 frozen-coefficient pass is the level; a coupled problem repeats the pass in an
 outer fixed-point loop that refreshes the frozen forward coefficients.  Each
 node's (Y, Z) is its own fixed point there, since the frozen a, b at a node
-read only that node's iterate, so the loop takes a depth-1 Anderson step per
+read only that node's iterate, so the loop takes a depth-2 Anderson step per
 node and stops once every component's change is small relative to its value.
+A step that reads the full k+m−1 levels starts that loop from the quadratic
+extrapolation of its three nearest levels.
 One march loop calls the step, both for the self-starting ramp and for the
 main march.
 All reductions run in a fixed order with compensated summation, so repeated
@@ -396,23 +398,56 @@ def y_update(
 # ---------------------------------------------------------------------------
 
 
+def _cut(outer: Lattice, inner: Lattice) -> tuple[slice, ...] | None:
+    """The slices of ``outer``'s node array that hold ``inner``'s nodes, both
+    with one origin and spacing, or None where ``inner`` reaches past
+    ``outer`` on some axis."""
+    if np.any(inner.lo < outer.lo) or np.any(inner.hi > outer.hi):
+        return None
+    return tuple(
+        slice(int(lo), int(hi) + 1) for lo, hi in zip(inner.lo - outer.lo, inner.hi - outer.lo)
+    )
+
+
 def _anderson_step(
-    g: np.ndarray, f: np.ndarray, g_prev: np.ndarray, f_prev: np.ndarray
+    g: np.ndarray,
+    f: np.ndarray,
+    g_prev: np.ndarray,
+    f_prev: np.ndarray,
+    g_older: np.ndarray | None = None,
+    f_older: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Depth-1 Anderson iterate of a fixed point x = G(x), one per row.
+    """Anderson iterate of a fixed point x = G(x), one per row: depth 2, or
+    depth 1 without the ``*_older`` pair.
 
     ``g`` = G(x_k) and ``f`` = g − x_k are the current pass's image and
-    residual, ``g_prev``, ``f_prev`` the previous pass's; every row is its own
-    problem, shape (P, unknowns).  The next iterate is g − γ·(g − g_prev) with
-    γ = ⟨f − f_prev, f⟩ / ‖f − f_prev‖² per row, the secant step that
-    minimizes the linearized residual (Walker & Ni, SIAM J. Numer. Anal. 49,
-    2011); a row whose residual did not change takes the plain step g.
+    residual, ``g_prev``, ``f_prev`` the previous pass's and ``g_older``,
+    ``f_older`` the one before; every row is its own problem, shape
+    (P, unknowns).  With the differences Δf_k = f − f_prev,
+    Δf_{k−1} = f_prev − f_older and likewise Δg, the next iterate is
+    g − [Δg_k, Δg_{k−1}]·γ, where γ minimizes ‖f − [Δf_k, Δf_{k−1}]·γ‖ per row
+    (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  The 2×2 normal equations
+    are solved in closed form, elementwise over rows.  A row whose system is
+    singular, det ≤ 1e-26·‖Δf_k‖²·‖Δf_{k−1}‖², takes the depth-1 step
+    g − γ₁·Δg_k with γ₁ = ⟨Δf_k, f⟩ / ‖Δf_k‖², and a row whose residual did
+    not change the plain step g.
     """
     df = f - f_prev
-    num = np.sum(df * f, axis=1)
-    den = np.sum(df * df, axis=1)
-    gamma = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    return g - gamma[:, None] * (g - g_prev)
+    dg = g - g_prev
+    a11 = np.sum(df * df, axis=1)
+    b1 = np.sum(df * f, axis=1)
+    gamma = np.divide(b1, a11, out=np.zeros_like(b1), where=a11 > 0.0)
+    if g_older is None:
+        return g - gamma[:, None] * dg
+    df_prev = f_prev - f_older
+    a22 = np.sum(df_prev * df_prev, axis=1)
+    a12 = np.sum(df * df_prev, axis=1)
+    b2 = np.sum(df_prev * f, axis=1)
+    det = a11 * a22 - a12 * a12
+    solvable = det > 1e-26 * a11 * a22
+    gamma = np.divide(a22 * b1 - a12 * b2, det, out=gamma, where=solvable)
+    gamma_prev = np.divide(a11 * b2 - a12 * b1, det, out=np.zeros_like(b2), where=solvable)
+    return g - gamma[:, None] * dg - gamma_prev[:, None] * (g_prev - g_older)
 
 
 def step_coupled(
@@ -424,6 +459,7 @@ def step_coupled(
     rule: TensorRule,
     r: int,
     target: Lattice,
+    extrapolate: bool = False,
 ) -> tuple[ValueLevel, int, int]:
     """Compute level n on the nodes of ``target``, its computed window.
 
@@ -434,19 +470,27 @@ def step_coupled(
     level they read; the march sizes the windows so this holds, and the read
     raises :class:`~fbsde.lattice.OutOfDomain` if not.
 
-    A pass freezes a, b at the current (Y, Z) iterate x_k, starting from the
-    level n+1 values, and applies the explicit Z-update and then the implicit
-    Y-update (seeded from x_k's Y), giving g_k = G(x_k).  When
-    a, b ignore (Y, Z) the first pass is the level.  A coupled problem
-    repeats the pass until every component of every node changes by at most
-    ``_OUTER_TOL``·(1 + |g_k|) between x_k and g_k, and returns that g_k.
-    The next iterate is the plain g_1 after the first pass and the per-node
-    depth-1 Anderson step of :func:`_anderson_step` after later ones; on
-    ``example2`` this cuts about 31 passes per level to 6.  After
-    ``_OUTER_MAX`` passes it raises :class:`OuterDivergence`, naming the
-    node with the largest relative change in the last pass.  Iterates keep
-    the levels' and the moments' (P, m, 1+d) layout: the first is a slice of
-    level n+1's array, the Y-update overwrites the rhs slot of
+    A pass freezes a, b at the current (Y, Z) iterate x_k and applies the
+    explicit Z-update and then the implicit Y-update, giving g_k = G(x_k).
+    When a, b ignore (Y, Z) the first pass, from the level n+1 values, is
+    the level.  A coupled problem repeats the pass until every component of
+    every node changes by at most ``_OUTER_TOL``·(1 + |g_k|) between x_k and
+    g_k, and returns that g_k.  With ``extrapolate`` (the march sets it on a
+    step that reads the full k+m−1 levels) the first iterate is the
+    quadratic extrapolation x_1 = 3·L₁ − 3·L₂ + L₃ of levels n+1, n+2 and
+    n+3 on the target's nodes, or the level n+1 values where the target is
+    not inside all three windows; otherwise it is the level n+1 values.  The
+    first pass seeds the Y-update from level n+1's Y and later passes from
+    x_k's Y, so a coupled-flagged decoupled problem returns the decoupled
+    level bit for bit.  The next iterate is the plain g_1 after the first
+    pass and the per-node Anderson step of :func:`_anderson_step` after
+    later ones, of depth 1 after the second pass and depth 2 from the third
+    on; on ``example2`` this takes 4 passes per level where the plain loop
+    takes about 29.  After ``_OUTER_MAX`` passes it raises
+    :class:`OuterDivergence`, naming the node with the largest relative
+    change in the last pass.  Iterates keep the levels' and the moments'
+    (P, m, 1+d) layout: the first is a slice of level n+1's array or the
+    extrapolation of three, the Y-update overwrites the rhs slot of
     :func:`z_update`'s array with Y, and the level seals as a reshape of
     the last one.
 
@@ -454,19 +498,22 @@ def step_coupled(
     iterations); the outer count is 0 for a decoupled problem, which runs no
     outer loop.
     """
-    near = window[0]
-    offset = target.lo - near.lattice.lo
-    seed = tuple(slice(int(o), int(o) + n) for o, n in zip(offset, target.shape))
     X = target.nodes().reshape(-1, target.dim)
     P = X.shape[0]
-    layout = near.yz.shape[-2:]  # (m, 1+d)
-    cur = near.yz[seed].reshape(P, *layout)
-    g_prev = f_prev = None
+    layout = window[0].yz.shape[-2:]  # (m, 1+d)
+    cur = window[0].yz[_cut(window[0].lattice, target)].reshape(P, *layout)
+    y_seed = cur[..., 0]
+    if extrapolate and problem.coupled:
+        cuts = [_cut(level.lattice, target) for level in window[1:3]]
+        if None not in cuts:
+            l2, l3 = (level.yz[cut].reshape(P, *layout) for level, cut in zip(window[1:], cuts))
+            cur = 3.0 * cur - 3.0 * l2 + l3
+    past: list[np.ndarray] = []  # g, f of the previous pass, then of the one before
     for outer in range(1, _OUTER_MAX + 1):
         moments = conditional_expectations(window, X, t_n, dt, problem, cur, rule, r)
         new = z_update(moments, coeffs, dt)
         new[..., 0], iters = y_update(
-            new[..., 0], coeffs[0], dt, t_n, X, new[..., 1:], problem.f, cur[..., 0]
+            new[..., 0], coeffs[0], dt, t_n, X, new[..., 1:], problem.f, y_seed
         )
         if not problem.coupled:
             break
@@ -477,9 +524,10 @@ def step_coupled(
         change = np.max(np.abs(f) / (1.0 + np.abs(g)), axis=1)
         if np.all(change <= _OUTER_TOL):
             break
-        x_next = g if g_prev is None else _anderson_step(g, f, g_prev, f_prev)
-        g_prev, f_prev = g, f
+        x_next = _anderson_step(g, f, *past) if past else g
+        past = [g, f, *past[:2]]
         cur = x_next.reshape(P, *layout)
+        y_seed = cur[..., 0]
     else:
         worst = int(np.argmax(change))
         raise OuterDivergence(
@@ -604,7 +652,8 @@ def _march(
     its values are checked finite; a level is dropped once its last reader
     has sealed.  Reading ℓ levels uses the weight row k′ = min(k, ℓ),
     m′ = ℓ+1−k′: (k, m_comb) on a full read, and a growing order on the
-    ramp's short ones.
+    ramp's short ones.  Only a full read lets a coupled step start from
+    extrapolated values.
     """
     last_reader = {i: e for e, (_, _, reads) in enumerate(schedule) for i in reads}
     rows: dict[tuple[int, int], np.ndarray] = {}
@@ -619,7 +668,7 @@ def _march(
             )
         level, piters, oiters = step_coupled(
             [levels[i] for i in reads], t_n, dt, problem, rows[k_eff, m_eff], rule, r,
-            windows[e],
+            windows[e], len(reads) == cfg.k + cfg.m_comb - 1,
         )
         for i in reads:
             if last_reader[i] == e:

@@ -687,16 +687,133 @@ def test_anderson_step_solves_a_linear_scalar_fixed_point_in_one_step():
     assert np.allclose(x2, 2.0, rtol=0.0, atol=1e-15)
 
 
+def test_depth_two_anderson_step_solves_a_linear_fixed_point_in_two_unknowns():
+    """Two independent residual differences span the plane, so for an affine
+    map x = A·x + c the depth-2 step lands on its fixed point at once."""
+    A = np.array([[0.5, 0.3], [-0.2, 0.4]])  # not symmetric
+    c = np.array([1.0, -2.0])
+    G = lambda x: x @ A.T + c
+    fixed = np.linalg.solve(np.eye(2) - A, c)
+    x = [np.array([[0.0, 0.0]]), np.array([[1.0, 0.5]]), np.array([[-0.5, 2.0]])]
+    g = [G(xi) for xi in x]
+    f = [gi - xi for gi, xi in zip(g, x)]
+    x3 = stepper._anderson_step(g[2], f[2], g[1], f[1], g[0], f[0])
+    assert np.allclose(x3, fixed[None, :], rtol=0.0, atol=1e-14)
+    assert not np.allclose(stepper._anderson_step(g[2], f[2], g[1], f[1]), fixed, atol=1e-3)
+
+
+def test_depth_two_anderson_step_takes_the_depth_one_step_where_singular():
+    """Collinear residual differences make the 2×2 system singular: the row
+    takes the depth-1 step, and a row whose residual did not change the
+    plain step g, both finite."""
+    g = np.array([[2.0, 1.0], [3.0, -1.0]])
+    f = np.array([[0.5, 0.25], [1.0, 2.0]])
+    g_prev = np.array([[1.0, 0.0], [5.0, 7.0]])
+    f_prev = np.array([[1.0, 0.5], [1.0, 2.0]])  # row 1: no change in f
+    g_older = np.array([[4.0, -3.0], [0.0, 1.0]])
+    f_older = np.array([[2.0, 1.0], [3.0, 1.0]])  # row 0: Δf_{k−1} = 2·Δf_k
+    x_next = stepper._anderson_step(g, f, g_prev, f_prev, g_older, f_older)
+    assert np.all(np.isfinite(x_next))
+    assert np.array_equal(x_next, stepper._anderson_step(g, f, g_prev, f_prev))
+    assert np.array_equal(x_next[1], g[1])
+
+
+class _FirstPass(Exception):
+    pass
+
+
+def _first_iterate(step, window, target, extrapolate):
+    """The (Y, Z) iterate of ``step``'s first pass on ``target``, stopped
+    before its expectations run."""
+    problem = get_problem("example2")
+
+    def recording(window, x, t_n, dt, problem, yz, rule, r):
+        raise _FirstPass(yz.copy())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stepper, "conditional_expectations", recording)
+        with pytest.raises(_FirstPass) as first:
+            step(window, 0.5, 0.1, problem, np.ones(len(window) + 1),
+                 gauss_hermite_tensor(4, 1), 3, target, extrapolate)
+    return first.value.args[0].reshape(target.shape + (1, 2))
+
+
+def _on(level, target):
+    """``level``'s (Y, Z) on the nodes of ``target``."""
+    start = target.lo - level.lattice.lo
+    assert np.all(start >= 0) and np.all(target.hi <= level.lattice.hi)
+    return level.yz[tuple(slice(s, s + n) for s, n in zip(start, target.shape))]
+
+
+def test_full_width_coupled_step_starts_from_the_quadratic_extrapolation():
+    """A full-width step's first iterate is 3·L₁ − 3·L₂ + L₃ on its target,
+    bit for bit; without the flag, or with a target that L₂ or L₃ does not
+    cover on either side, it is level n+1's values."""
+    target = fbsde.lattice.Lattice(origin=[0.0], h=0.1, lo=[-3], hi=[2])
+    rng = np.random.default_rng(0)
+
+    def level(t, lo, hi):
+        lattice = fbsde.lattice.Lattice(origin=[0.0], h=0.1, lo=[lo], hi=[hi])
+        return ValueLevel(lattice=lattice, t=t, yz=rng.normal(size=lattice.shape + (1, 2)))
+
+    near = level(0.6, -5, 5)
+    covered = [near, level(0.7, -6, 4), level(0.8, -3, 2), level(0.9, -8, 8)]
+    L1, L2, L3 = (_on(lv, target) for lv in covered[:3])
+    step = stepper.step_coupled
+    assert np.array_equal(_first_iterate(step, covered, target, True), 3.0 * L1 - 3.0 * L2 + L3)
+    assert np.array_equal(_first_iterate(step, covered, target, False), L1)
+    for uncovered in (
+        [near, level(0.7, -2, 4), covered[2]],  # L₂ starts above the target
+        [near, covered[1], level(0.8, -3, 1)],  # L₃ ends below it
+    ):
+        assert np.array_equal(_first_iterate(step, uncovered, target, True), L1)
+
+
+def test_march_extrapolates_only_on_full_width_coupled_steps(monkeypatch):
+    """In a ramp solve the k+m−1-level steps start from the extrapolation
+    and the ramp's shorter ones from level n+1."""
+    firsts = []
+    step = stepper.step_coupled
+
+    def recording_step(window, *args):
+        target, extrapolate = args[6:8]
+        firsts.append((window, target, extrapolate, _first_iterate(step, window, target, extrapolate)))
+        return step(window, *args)
+
+    monkeypatch.setattr(stepper, "step_coupled", recording_step)
+    cfg = SolverConfig(k=3, n_steps=6, init_mode="ramp", init_substeps=2)
+    solve(get_problem("example2"), cfg)
+    full = cfg.k + cfg.m_comb - 1
+    assert {len(w) == full for w, *_ in firsts} == {True, False}
+    for window, target, extrapolate, first in firsts:
+        assert extrapolate == (len(window) == full)
+        L = [_on(level, target) for level in window[: 3 if extrapolate else 1]]
+        expected = 3.0 * L[0] - 3.0 * L[1] + L[2] if extrapolate else L[0]
+        assert np.array_equal(first, expected)
+
+
+def test_coupled_ramp_with_short_steps_near_the_terminal_level_solves():
+    """example2 ramp, k = 3, n_steps = 8, S = 2: extrapolating from the
+    ramp's low-order levels near T read past a window here."""
+    problem = get_problem("example2")
+    cfg = SolverConfig(k=3, n_steps=8, init_mode="ramp", init_substeps=2)
+    y0, z0, _ = solve(problem, cfg)
+    assert abs(y0[0] - problem.analytic_y(0.0, problem.x0)[0]) < 1e-3
+    assert abs(z0[0, 0] - problem.analytic_z(0.0, problem.x0)[0, 0]) < 1e-3
+
+
 def test_coupled_outer_loop_takes_few_passes_per_level():
-    """Anderson(1) acceleration: example2 averages at most 8 passes per level.
+    """Quadratic first iterate and depth-2 Anderson steps: example2 at k=5,
+    n_steps=32 averages at most 4.25 passes per level, none above 5.
 
     The plain outer fixed point contracts by only about ½ per pass there
     (dZ/dz = ½·cos²(t+x) through b), about 30 passes per level.
     """
-    _, _, diag = solve(get_problem("example2"), SolverConfig(k=5, n_steps=16))
+    _, _, diag = solve(get_problem("example2"), SolverConfig(k=5, n_steps=32))
     passes = diag["outer_iterations"]
     assert len(passes) == diag["levels_marched"]
-    assert sum(passes) / len(passes) <= 8
+    assert sum(passes) / len(passes) <= 4.25
+    assert max(passes) <= 5
 
 
 def test_coupled_solve_matches_the_plain_outer_loop():
