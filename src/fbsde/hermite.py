@@ -16,6 +16,7 @@ with (a_q, ω_q) running over the tensor-product rule.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,15 +79,25 @@ def _hermite_recurrence(
     return h, h_prev, acc
 
 
+def _integer(name: str, value) -> int:
+    """``operator.index(value)``; a non-integer, a bool too, raises TypeError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def gauss_hermite(npoints: int) -> QuadratureRule1D:
     """Gauss–Hermite rule with `npoints` nodes (1 ≤ npoints ≤ 64).
 
     Nodes are strictly increasing and exactly antisymmetric (the rule is
     symmetrized after the eigen-solve); weights are positive and sum to √π.
     The rule integrates polynomials of degree ≤ 2·npoints − 1 exactly against
-    e^{-x²}.
+    e^{-x²}.  A non-integer ``npoints`` (a bool too) raises TypeError.
     """
-    L = int(npoints)
+    L = _integer("npoints", npoints)
     if not 1 <= L <= MAX_POINTS:
         raise ValueError(f"npoints must be in 1..{MAX_POINTS}, got {npoints}")
     if L == 1:
@@ -110,7 +121,9 @@ def gauss_hermite(npoints: int) -> QuadratureRule1D:
 
 
 def gauss_hermite_tensor(npoints: int, dim: int) -> TensorRule:
-    """Tensor-product Gauss–Hermite rule: `npoints` per axis over `dim` axes."""
+    """Tensor-product Gauss–Hermite rule: `npoints` per axis over `dim` axes;
+    a non-integer of either (a bool too) raises TypeError."""
+    dim = _integer("dim", dim)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     return TensorRule(dim=dim, base=gauss_hermite(npoints))

@@ -83,6 +83,11 @@ class OutOfDomain(ValueError):
     level = 0
 
 
+def _check_spacing(h: float) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"spacing h must be finite and positive, got {h}")
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Uniform lattice: node(i) = origin + i·h, lo ≤ i ≤ hi (per axis).
@@ -102,8 +107,7 @@ class Lattice:
         object.__setattr__(self, "lo", np.atleast_1d(np.asarray(self.lo, int)))
         object.__setattr__(self, "hi", np.atleast_1d(np.asarray(self.hi, int)))
         object.__setattr__(self, "shape", tuple(int(n) for n in (self.hi - self.lo + 1)))
-        if self.h <= 0:
-            raise ValueError(f"spacing h must be positive, got {self.h}")
+        _check_spacing(self.h)
         if np.any(self.hi < self.lo):
             raise ValueError("hi must be >= lo on every axis")
         if np.any(self.lo > 0) or np.any(self.hi < 0):
@@ -145,11 +149,10 @@ def build_lattice(center, h: float, radius, r: int | None = None) -> Lattice:
     and with `r` given, TooFewNodes if a degree-r stencil would not fit.
     """
     origin = np.atleast_1d(np.asarray(center, float))
-    if h <= 0:
-        raise ValueError(f"spacing h must be positive, got {h}")
+    _check_spacing(h)
     rad = np.full(origin.shape, radius, dtype=float)
-    if np.any(rad < 0):
-        raise ValueError("radius must be non-negative")
+    if not np.all(np.isfinite(rad) & (rad >= 0)):
+        raise ValueError(f"radius must be finite and non-negative, got {radius}")
     half = np.array([int(math.ceil(v / h - 1e-12)) for v in rad])
     lat = Lattice(origin=origin, h=float(h), lo=-half, hi=half)
     if r is not None and any(n < r + 1 for n in lat.shape):

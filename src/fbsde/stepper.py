@@ -23,8 +23,8 @@ read only that node's iterate, so the loop takes a depth-2 Anderson step per
 node and stops once every component's change is small relative to its value.
 A step that reads the full k+m−1 levels starts that loop from the quadratic
 extrapolation of its three nearest levels.
-One march loop calls the step, both for the self-starting ramp and for the
-main march.
+One march loop in :func:`solve` calls the step for every level that reads
+others, in schedule order: the self-starting ramp's and the main march's.
 All reductions run in a fixed order with compensated summation, so repeated
 runs are bit-identical.
 
@@ -49,15 +49,14 @@ every Picard iterate as it is formed: NaN or ±inf raises
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .fdweights import solve_weights
-from .hermite import MAX_POINTS, TensorRule, gauss_hermite_tensor, kahan_sum
+from .hermite import MAX_POINTS, TensorRule, _integer, gauss_hermite_tensor, kahan_sum
 from . import lattice as _lattice
 from .lattice import (
     Lattice,
@@ -142,7 +141,7 @@ _INTEGER_RANGES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs for one solve.
 
@@ -162,7 +161,8 @@ class SolverConfig:
     ``init_mode`` 'exact' or 'ramp'.  A non-integer (a bool too) raises
     TypeError and any other bad value ValueError, naming the field.  Integer
     fields are stored as ``operator.index`` of their values, so ``asdict``
-    of a config holds plain ints.
+    of a config holds plain ints.  A config is frozen, so the checked values
+    are the ones a solve reads: ``dataclasses.replace`` makes a changed copy.
     """
 
     k: int
@@ -178,15 +178,10 @@ class SolverConfig:
             value = getattr(self, name)
             if value is None and name in ("r", "gh_points"):
                 continue
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                value = operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            value = _integer(name, value)
             if not low <= value <= high:
                 raise ValueError(f"{name} must be in {low}..{high}, got {value}")
-            setattr(self, name, value)
+            object.__setattr__(self, name, value)
         if self.n_steps < self.k + self.m_comb - 1:
             raise ValueError(
                 f"n_steps must be at least k + m_comb - 1 = {self.k + self.m_comb - 1} "
@@ -544,7 +539,7 @@ step_decoupled = step_coupled
 
 
 # ---------------------------------------------------------------------------
-# Schedule, query cone and march
+# Schedule and query cone
 # ---------------------------------------------------------------------------
 
 #: A level of a solve: (t, Δt, schedule indices of the levels it reads,
@@ -639,44 +634,6 @@ def _cone(
     return windows
 
 
-def _march(
-    problem: FbsdeProblem, cfg: SolverConfig, rule: TensorRule, r: int,
-    schedule: Sequence[Entry], windows: Sequence[Lattice],
-    levels: dict[int, ValueLevel], entries: range,
-) -> Iterator[tuple[ValueLevel, int, int]]:
-    """Compute the schedule's ``entries`` in order, yielding (level, Picard
-    iterations, outer iterations) as each seals.
-
-    Each entry steps on its window from the levels it reads, taken from
-    ``levels`` (schedule index → sealed level), and joins them there once
-    its values are checked finite; a level is dropped once its last reader
-    has sealed.  Reading ℓ levels uses the weight row k′ = min(k, ℓ),
-    m′ = ℓ+1−k′: (k, m_comb) on a full read, and a growing order on the
-    ramp's short ones.  Only a full read lets a coupled step start from
-    extrapolated values.
-    """
-    last_reader = {i: e for e, (_, _, reads) in enumerate(schedule) for i in reads}
-    rows: dict[tuple[int, int], np.ndarray] = {}
-    for e in entries:
-        t_n, dt, reads = schedule[e]
-        k_eff = min(cfg.k, len(reads))
-        m_eff = len(reads) + 1 - k_eff
-        if (k_eff, m_eff) not in rows:
-            rows[k_eff, m_eff] = np.array(
-                [float(c) for c in solve_weights(k_eff, m_eff).window_sums()],
-                dtype=float,
-            )
-        level, piters, oiters = step_coupled(
-            [levels[i] for i in reads], t_n, dt, problem, rows[k_eff, m_eff], rule, r,
-            windows[e], len(reads) == cfg.k + cfg.m_comb - 1,
-        )
-        for i in reads:
-            if last_reader[i] == e:
-                del levels[i]
-        levels[e] = _sealed(level)
-        yield level, piters, oiters
-
-
 # ---------------------------------------------------------------------------
 # Initialization
 # ---------------------------------------------------------------------------
@@ -687,7 +644,9 @@ def _unmarched_yz(
     """(Y, Z) at (t, X) of a level no march computes, as one (P, m, 1+d)
     array with Y in slot 0: the closed form, or else the terminal data
     Y = g(x) and Z = ∇g(x)·b(T, x, g(x), Z) by an FD gradient and a fixed
-    point (:class:`OuterDivergence` after ``_OUTER_MAX`` passes)."""
+    point that stops once every component's change is below
+    1e-13·max(1, |Z|) (:class:`OuterDivergence` after ``_OUTER_MAX``
+    passes)."""
     P, n = X.shape
     yz = np.zeros((P, problem.m, 1 + problem.d))
     if closed_form:
@@ -703,7 +662,7 @@ def _unmarched_yz(
     for _ in range(_OUTER_MAX):
         b_val = np.asarray(problem.b(problem.T, X, yz[..., 0], yz[..., 1:]), float)
         z_new = np.einsum("pmn,pnd->pmd", grad, b_val)
-        change = np.abs(z_new - yz[..., 1:])
+        change = np.abs(z_new - yz[..., 1:]) / np.maximum(1.0, np.abs(z_new))
         yz[..., 1:] = z_new
         if np.max(change) < 1e-13:
             return yz
@@ -711,44 +670,35 @@ def _unmarched_yz(
     raise OuterDivergence(
         f"terminal Z fixed point did not converge in {_OUTER_MAX} "
         f"iterations at t = {problem.T:.6g}, node x = {X[worst]} "
-        f"(last change {float(np.max(change)):.3e}, tol 1.0e-13)"
+        f"(last change {float(np.max(change)):.3e} relative to max(1, |Z|), tol 1.0e-13)"
     )
 
 
 def initialize_levels(
     problem: FbsdeProblem,
     cfg: SolverConfig,
-    rule: TensorRule,
-    r: int,
     schedule: Sequence[Entry],
     windows: Sequence[Lattice],
-    main: int,
-) -> tuple[dict[int, ValueLevel], list[tuple[int, int]]]:
-    """Compute schedule entries 0..main−1, every one before the main march.
+) -> dict[int, ValueLevel]:
+    """The sealed levels of the schedule entries that read no level, by
+    schedule index, each on its own window.
 
-    Returns the sealed levels the main march starts from, by schedule index,
-    and the (Picard, outer) iteration counts of each ramp level in marching
-    order (none in exact mode).  An entry that reads no level is initialized
-    on its own window: ``exact`` mode samples the closed-form (Y, Z) there,
-    which :func:`solve` checks exists.  ``ramp`` mode is self-starting: the
-    terminal level takes Y = g and the gradient relation for Z, and the fine
-    levels come from the main solve's march loop, so the scheme order grows
-    as history becomes available.  An initialized level holding NaN or ±inf
-    raises :class:`NonFiniteValue`, as a marched one does.
+    ``exact`` mode samples the closed-form (Y, Z) on the top k+m−1 levels of
+    the Δt grid, which :func:`solve` checks exists.  ``ramp`` mode is
+    self-starting: the terminal level alone takes Y = g and the gradient
+    relation for Z, and :func:`solve` marches the ramp's fine levels from
+    it.  An initialized level holding NaN or ±inf raises
+    :class:`NonFiniteValue`, as a marched one does.
     """
     levels: dict[int, ValueLevel] = {}
-    for e in (e for e in range(main) if not schedule[e][2]):
+    for e in (e for e, (_, _, reads) in enumerate(schedule) if not reads):
         t, window = schedule[e][0], windows[e]
         X = window.nodes().reshape(-1, window.dim)
         yz = _unmarched_yz(problem, t, X, cfg.init_mode == "exact")
         levels[e] = _sealed(
             ValueLevel(lattice=window, t=t, yz=yz.reshape(window.shape + yz.shape[1:]))
         )
-    march = _march(
-        problem, cfg, rule, r, schedule, windows, levels, range(len(levels), main)
-    )
-    counts = [(piters, oiters) for _, piters, oiters in march]
-    return levels, counts
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -763,8 +713,15 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     every quadrature point read from it and at least a degree-r stencil;
     the t = 0 level is x0 alone.  :func:`build_lattice` builds the
     x0-centred hull of all windows, which the diagnostics report.
-    :func:`initialize_levels` computes every level the main march starts
-    from, and the march loop it shares with the ramp computes the rest.
+    :func:`initialize_levels` fills the levels that read no other, and one
+    march loop steps every other level in schedule order, the ramp's fine
+    levels and the main march's alike.  Each steps on its window from the
+    levels it reads and joins them once sealed; a level is dropped once its
+    last reader has sealed.  Reading ℓ levels uses the weight row
+    k′ = min(k, ℓ), m′ = ℓ+1−k′: (k, m_comb) on a full read, and a growing
+    order on the ramp's short ones.  Only a full read lets a coupled step
+    start from extrapolated values.
+
     Exact init of a problem without a closed form raises
     :class:`MissingAnalytic` before any of that, and a level or Picard
     iterate holding NaN or ±inf raises :class:`NonFiniteValue` naming its t
@@ -793,19 +750,33 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
     half = np.max([np.maximum(-w.lo, w.hi) for w in windows], axis=0)
     lattice = build_lattice(problem.x0, h, half * h, r=r)
 
-    marched = cfg.n_steps - k - cfg.m_comb + 2
-    main = len(schedule) - marched
-    levels, ramp = initialize_levels(problem, cfg, rule, r, schedule, windows, main)
-    march = _march(
-        problem, cfg, rule, r, schedule, windows, levels, range(main, len(schedule))
-    )
-    picard_per_level: list[int] = []
-    outer_per_level: list[int] = []
-    for level, piters, oiters in march:
-        picard_per_level.append(piters)
+    levels = initialize_levels(problem, cfg, schedule, windows)
+    last_reader = {i: e for e, (_, _, reads) in enumerate(schedule) for i in reads}
+    rows: dict[tuple[int, int], np.ndarray] = {}
+    picard: list[int] = []
+    outer: list[int] = []  # stays empty when decoupled: its steps report 0
+    for e in range(len(levels), len(schedule)):
+        t_n, dt_n, reads = schedule[e]
+        k_eff = min(k, len(reads))
+        m_eff = len(reads) + 1 - k_eff
+        if (k_eff, m_eff) not in rows:
+            rows[k_eff, m_eff] = np.array(
+                [float(c) for c in solve_weights(k_eff, m_eff).window_sums()],
+                dtype=float,
+            )
+        level, piters, oiters = step_coupled(
+            [levels[i] for i in reads], t_n, dt_n, problem, rows[k_eff, m_eff], rule, r,
+            windows[e], len(reads) == k + cfg.m_comb - 1,
+        )
+        for i in reads:
+            if last_reader[i] == e:
+                del levels[i]
+        levels[e] = _sealed(level)
+        picard.append(piters)
         if oiters:
-            outer_per_level.append(oiters)
+            outer.append(oiters)
 
+    marched = cfg.n_steps - k - cfg.m_comb + 2
     yz0 = level.yz.reshape(problem.m, 1 + problem.d)
     y0, z0 = yz0[:, 0].copy(), yz0[:, 1:].copy()
     diagnostics = {
@@ -818,12 +789,12 @@ def solve(problem: FbsdeProblem, cfg: SolverConfig) -> SolveResult:
         "lattice_shape": list(lattice.shape),
         "num_nodes": lattice.num_nodes,
         "levels_marched": marched,
-        "picard_iterations": picard_per_level,
-        "picard_iterations_max": max(picard_per_level, default=0),
-        "outer_iterations": outer_per_level,
-        "outer_iterations_max": max(outer_per_level, default=0),
-        "ramp_picard_iterations": [piters for piters, _ in ramp],
-        "ramp_outer_iterations": [oiters for _, oiters in ramp if oiters],
+        "picard_iterations": picard[-marched:],
+        "picard_iterations_max": max(picard[-marched:]),
+        "outer_iterations": outer[-marched:],
+        "outer_iterations_max": max(outer[-marched:], default=0),
+        "ramp_picard_iterations": picard[:-marched],
+        "ramp_outer_iterations": outer[:-marched],
         "wall_time_s": time.perf_counter() - start,
     }
     return SolveResult(y0=y0, z0=z0, diagnostics=diagnostics)

@@ -97,6 +97,18 @@ def test_point_count_validation(L):
             gauss_hermite(L)
 
 
+@pytest.mark.parametrize(
+    "npoints, dim, name",
+    [
+        (2.5, 1, "npoints"), (True, 1, "npoints"), (3.0, 1, "npoints"),
+        ("3", 1, "npoints"), (3, 1.5, "dim"), (3, True, "dim"),
+    ],
+)
+def test_quadrature_sizes_must_be_integers(npoints, dim, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        gauss_hermite_tensor(npoints, dim)
+
+
 def test_tensor_rule_structure():
     rule = gauss_hermite_tensor(3, 2)
     assert rule.dim == 2

@@ -70,6 +70,16 @@ def test_lattice_validation():
         build_lattice(0.0, 1.0, -1.0)
 
 
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+def test_spacing_and_radius_must_be_finite(h):
+    with pytest.raises(ValueError, match=f"spacing h must be finite and positive, got {h}"):
+        Lattice(origin=np.array([0.0]), h=h, lo=np.array([-1]), hi=np.array([1]))
+    with pytest.raises(ValueError, match=f"spacing h must be finite and positive, got {h}"):
+        build_lattice(0.0, h, 1.0)
+    with pytest.raises(ValueError, match=f"radius must be finite and non-negative, got {h}"):
+        build_lattice(0.0, 0.1, h)
+
+
 @pytest.mark.parametrize("r", [3, 5])
 def test_interpolation_reproduces_polynomials(r):
     rng = np.random.default_rng(r)

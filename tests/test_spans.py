@@ -61,6 +61,13 @@ def test_traced_solve_is_bit_identical_with_one_step_span_per_level(name, cfg):
     levels = ramp + traced.diagnostics["levels_marched"]
     steps = [s for s in tracer.spans if s.name == "stepper.step"]
     assert len(steps) == levels
+    # One march loop: every level, ramp or main march, steps straight
+    # under the solve, and initialization steps none.
+    root = next(i for i, s in enumerate(tracer.spans) if s.name == "solve")
+    assert all(s.parent == root for s in steps)
+    init = [i for i, s in enumerate(tracer.spans) if s.name == "stepper.initialize_levels"]
+    assert len(init) == 1
+    assert not any(s.parent == init[0] for s in steps)
     metrics = spans.layer_metrics(tracer.spans, 0, traced.diagnostics)
     assert metrics["stepper.levels"] == levels
     assert metrics["stepper.passes"] >= levels

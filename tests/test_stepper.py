@@ -140,6 +140,14 @@ def test_config_stores_numpy_integers_as_python_ints():
     assert type(plain["k"]) is int and type(plain["n_steps"]) is int
 
 
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
+def test_config_is_frozen(name):
+    """A built config cannot change, so no solve reads an unchecked value."""
+    cfg = SolverConfig(k=3, n_steps=8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, getattr(cfg, name))
+
+
 def test_config_accepts_minimum_steps():
     SolverConfig(k=3, n_steps=6)
     SolverConfig(k=9, n_steps=12)
@@ -650,6 +658,23 @@ def test_terminal_z_divergence_is_reported():
     assert "terminal Z" in message
     assert "node x =" in message
     assert "last change" in message
+
+
+def test_terminal_z_fixed_point_is_relative_to_large_z():
+    """Z ≈ 5e3 at T: an absolute 1e-13 stop cycles at 1–2 ulps of Z and
+    never converges; the stop relative to max(1, |Z|) does."""
+    problem = FbsdeProblem(
+        name="steep", n=1, m=1, d=1, T=1.0, x0=np.array([0.3]),
+        a=lambda t, x, y, z: np.zeros_like(x),
+        b=lambda t, x, y, z: 0.5 + 3e-5 * z,
+        f=lambda t, x, y, z: np.zeros_like(y),
+        g=lambda x: 1e4 * np.sin(x),
+        coupled=True,
+    )
+    y0, z0, _ = solve(problem, SolverConfig(k=3, n_steps=8, init_mode="ramp"))
+    assert np.all(np.isfinite(y0)) and np.all(np.isfinite(z0))
+    # Diffusion damps the sine, so Y(0, x0) lies between 0 and g(x0).
+    assert 0.0 < y0[0] < 1e4 * math.sin(0.3)
 
 
 def test_outer_divergence_names_worst_node(monkeypatch):
