@@ -332,6 +332,113 @@ def _block_rows(r: int, dim: int, width: int) -> int:
     return max(1, _BLOCK_BYTES // (words * 8))
 
 
+def _runs(lead: np.ndarray, last: np.ndarray, r: int):
+    """The runs of a block's queries, whose leading-axes work is shared.
+
+    ``lead`` holds the queries' coordinates on every axis but the last,
+    (levels, dim−1, q), and ``last`` their last-axis stencil starts,
+    (levels, q).  A run is a stretch of one level's consecutive queries
+    with equal leading coordinates whose starts move by at most r+1 from
+    one query to the next, so its columns, the last-axis nodes its stencils
+    read, number at most r+1 per query.  Returns each run's first query, a
+    flat index into the block, and its smallest and largest start, or None
+    when every query is a run of one.
+    """
+    head = np.empty(last.shape, bool)
+    head[:, 0] = True
+    np.not_equal(lead[:, 0, 1:], lead[:, 0, :-1], out=head[:, 1:])
+    for ax in range(1, lead.shape[1]):
+        head[:, 1:] |= lead[:, ax, 1:] != lead[:, ax, :-1]
+    if head.all():
+        return None
+    head[:, 1:] |= np.abs(np.diff(last, axis=1)) > r + 1
+    first = np.flatnonzero(head)
+    last = last.reshape(-1)
+    return first, np.minimum.reduceat(last, first), np.maximum.reduceat(last, first)
+
+
+def _run_partials(shifted, table, strides, lo, hi, u, last, l0, r, width) -> np.ndarray:
+    """A block's partial sums over every axis but the last, (r+1, q, width):
+    row o of query i is its stencil's sum over the leading axes at its o-th
+    last-axis node, as `interpolate_values` describes, for the block's
+    queries ``u`` (levels l0.., dim, q) with last-axis starts ``last``.
+
+    Each run of `_runs` is weighted on the leading axes once, over slots of
+    r+1 consecutive columns that cover its columns, the last one clamped to
+    end at its last column, so each slot is a stencil that a query of the
+    run could have.  A run of one query is one slot, its own stencil, and a
+    block of such runs has its partial sums in place.  Otherwise the runs'
+    columns are laid out one after another and each query reads its r+1.
+    """
+    levels, nb = last.shape
+    n, dim, lead = levels * nb, u.shape[1], table.shape[:-1]
+    runs = _runs(u[:, :-1], last, r)
+    if runs is None:
+        count, col, head = n, last.reshape(n), None
+    else:
+        first, cmin, cmax = runs
+        slots = (cmax - cmin + r) // (r + 1) + 1
+        count = int(slots.sum())
+        col = np.arange(count) - np.repeat(np.cumsum(slots) - slots, slots)
+        col *= r + 1
+        col += np.repeat(cmin, slots)
+        np.minimum(col, np.repeat(cmax, slots), out=col)
+        head = np.repeat(first, slots)
+    # A one-level block takes its level's bounds and strides as (1,) rows.
+    if levels == 1:
+        lev = slice(l0, l0 + 1)
+    else:
+        lev = l0 + (np.arange(n) if head is None else head) // nb
+    coords = u.transpose(1, 0, 2).reshape(dim, n)[:-1]
+    if head is not None:
+        coords = coords[:, head]
+    starts = [_stencil_starts(coords[ax], r, lo[lev, ax], hi[lev, ax]) for ax in range(dim - 1)]
+    base = col
+    for ax, s in enumerate(starts):
+        base = base + s * strides[lev, ax]
+    node = np.add(table[..., lev], base, out=_scratch("node", lead + (count,), np.intp))
+    weights = _scratch("lead", (dim - 1, count * (r + 1)), float).reshape(dim - 1, r + 1, count)
+    for ax, s in enumerate(starts):
+        _stencil_weights(coords[ax] - s, r, out=weights[ax])
+    block = _scratch("block", (r + 1,) + lead + (count, width), shifted.dtype)
+    run = _scratch("run", block.shape, shifted.dtype)
+    block.fill(0.0)
+    step = strides[lev, 0]
+    for w in weights[0]:
+        np.take(shifted, node, axis=1, out=run, mode="clip")
+        run *= _widen(w, width, "row")
+        block += run
+        node += step
+    # Axes 1..dim−2 lie at position 1 of the block; the spent runs' buffer
+    # takes their repeated weights.
+    for ax in range(1, dim - 1):
+        w = _widen(weights[ax], width, "run")
+        block *= w.reshape(w.shape[:1] + (1,) * (block.ndim - 4) + w.shape[1:])
+        sums = _scratch(f"sums{ax}", block.shape[:1] + block.shape[2:], shifted.dtype)
+        block = _stencil_sum(block, 1, sums)
+    if runs is None:
+        return block
+    # Column c of a run is row c + shift of ``columns``, gathered from the
+    # row of ``block`` that holds it; a clamped slot holds some columns of
+    # its run twice, with the same bits.
+    span = cmax - cmin + r + 1
+    shift = np.cumsum(span) - span - cmin
+    source = _scratch("lead", (int(span.sum()),), np.intp)
+    at, row = col + np.repeat(shift, slots), np.arange(count)
+    for _ in range(r + 1):
+        source[at] = row
+        at += 1
+        row += count
+    columns = _scratch("run", source.shape + (width,), shifted.dtype)
+    np.take(block.reshape(-1, width), source, axis=0, out=columns, mode="clip")
+    at = last.reshape(n) + np.repeat(shift, np.diff(first, append=n))
+    block = _scratch("block", (r + 1, n, width), shifted.dtype)
+    for row in block:
+        np.take(columns, at, axis=0, out=row, mode="clip")
+        at += 1
+    return block
+
+
 def interpolate_values(
     lattice: Lattice,
     values: np.ndarray,
@@ -480,50 +587,30 @@ def interpolate_values(
         shifted[o, total - o :] = 0
     strides = np.array(strides)
     lead = (r + 1,) * max(dim - 2, 0)
-    table = ((strides[:, 1:-1] @ _stencil_grid(r, len(lead))).T + corners).reshape(lead + (g, 1))
+    table = ((strides[:, 1:-1] @ _stencil_grid(r, len(lead))).T + corners).reshape(lead + (g,))
     out = np.empty((g * q, width), dtype=dtype)
     rows = _block_rows(r, dim, width)
-    if q <= rows:
-        step = rows // max(q, 1)
+    if not q:
+        blocks = []
+    elif q <= rows:
+        step = rows // q
         blocks = [(ell, min(ell + step, g), 0, q) for ell in range(0, g, step)]
     else:
         blocks = [(ell, ell + 1, b, min(b + rows, q)) for ell in range(g) for b in range(0, q, rows)]
     for l0, l1, b0, b1 in blocks:
         u = u_all[l0:l1, :, b0:b1]
         n = (l1 - l0) * (b1 - b0)
-        starts = [
-            _stencil_starts(u[:, ax], r, lo[l0:l1, ax, None], hi[l0:l1, ax, None])
-            for ax in range(dim)
-        ]
-        base = starts[-1]
-        for ax in range(dim - 1):
-            base = base + starts[ax] * strides[l0:l1, ax, None]
-        node = np.add(table[..., l0:l1, :], base, out=_scratch("node", lead + base.shape, np.intp))
-        index = node.reshape(lead + (n,))
-        weights = _scratch("weights", (dim, r + 1, n), float)
-        for ax in range(dim):
-            _stencil_weights((u[:, ax] - starts[ax]).reshape(n), r, out=weights[ax])
-        block = _scratch("block", (r + 1,) + index.shape + (width,), dtype)
+        last = _stencil_starts(u[:, -1], r, lo[l0:l1, -1, None], hi[l0:l1, -1, None])
+        weights = _stencil_weights(
+            (u[:, -1] - last).reshape(n), r, out=_scratch("weights", (r + 1, n), float)
+        )
         if dim == 1:
-            np.take(shifted, index, axis=1, out=block, mode="clip")
+            node = np.add(table[l0:l1, None], last, out=_scratch("node", last.shape, np.intp))
+            block = _scratch("block", (r + 1, n, width), dtype)
+            np.take(shifted, node.reshape(n), axis=1, out=block, mode="clip")
+            block *= weights[..., None]
         else:
-            run = _scratch("run", block.shape, dtype)
-            block.fill(0.0)
-            for w in weights[0]:
-                np.take(shifted, index, axis=1, out=run, mode="clip")
-                run *= _widen(w, width, "row")
-                block += run
-                node += strides[l0:l1, 0, None]
-        # Axes 1..dim−2 lie at position 1 of the block, the last axis at 0.
-        # The spent runs' buffer takes their repeated weights; 1-D blocks,
-        # which have no such buffer, broadcast them instead.
-        for ax in range(1 if dim > 1 else 0, dim):
-            pos = 0 if ax == dim - 1 else 1
-            w = _widen(weights[ax], width, "run") if dim > 1 else weights[ax][..., None]
-            block *= w.reshape(w.shape[:1] + (1,) * (block.ndim - pos - 3) + w.shape[1:])
-            sums = (
-                out[l0 * q + b0 : l0 * q + b0 + n] if ax == dim - 1
-                else _scratch(f"sums{ax}", block.shape[:pos] + block.shape[pos + 1 :], dtype)
-            )
-            block = _stencil_sum(block, pos, sums)
+            block = _run_partials(shifted, table, strides, lo, hi, u, last, l0, r, width)
+            block *= _widen(weights, width, "run")
+        _stencil_sum(block, 0, out[l0 * q + b0 : l0 * q + b0 + n])
     return out.reshape(out.shape[:1] + rest)
