@@ -19,12 +19,24 @@ operation then runs over many queries contiguously rather than over one
 short stencil row at a time, and each sum over a stencil's r+1 entries adds
 them in index order, one contiguous slab of queries per entry (a block of
 one query too).  The values are read from a shifted table that holds each
-node's r+1 last-axis neighbours, so one index per query gathers a stencil's
-whole last-axis run, every value of each node at once.  In 1-D that run is
+node's r+1 last-axis neighbours, so one index gathers a stencil's r+1 nodes
+along the last axis, every value of each node at once.  In 1-D those are
 the stencil; from 2-D on the kernel loops over the axis-0 offsets, weights
-each offset's runs and adds them up before the other axes reduce, so no
-(r+1)^dim-entry block or index per query is ever built, and every product
-and sum is that of weighting a full tensor gather axis by axis.
+each offset's gathered nodes and adds them up before the other axes reduce,
+so no (r+1)^dim-entry block or index per query is ever built, and every
+product and sum is that of weighting a full tensor gather axis by axis.
+
+From 2-D on, the work on the leading axes, all but the last, is shared.
+Consecutive queries of one level with equal leading coordinates form a run,
+which is weighted on its leading axes once rather than once per query, over
+the last-axis nodes its stencils read (sum factorization; Orszag, J. Comput.
+Phys. 37, 1980); each query then reads its r+1 partial sums and weights the
+last axis.  Equal coordinates give equal stencil starts and weights, and no
+sum changes order, so every result is the one a query alone would give, to
+the bit.  A query that differs from its neighbours on a leading axis is a
+run of one, read as it was before runs were shared.  The Euler points of a
+window come in runs of one window row wherever the forward coefficients
+read only their own axis, as example3's do.
 
 One call may read several levels of the same grid (shared origin, h and
 dim), each at its own queries: their values are laid end to end and each
@@ -33,9 +45,9 @@ hull check and one-sided stencils.  A one-level call is the group of one.
 Many small reads then cost one call's fixed overhead instead of one each,
 and every result is the one a call per level would give, to the bit.
 
-The kernel's block-sized arrays (run index, stencil weights, gathered runs,
-partial sums and repeated weights) live in a per-thread workspace that is kept between
-calls, so a solve does not allocate, and have the kernel zero-fill, the same
+The kernel's block-sized arrays (node index, stencil weights, gathered
+values, partial sums, run columns and repeated weights) live in a per-thread
+workspace that is kept between calls, so a solve does not allocate, and have the kernel zero-fill, the same
 pages again for every block.  The shifted table, r+1 times the levels'
 values, is built per call.
 """
@@ -314,10 +326,16 @@ def _block_rows(r: int, dim: int, width: int) -> int:
     weights (its one index word is left out, so 1-D blocks keep the size
     they had when the index took r+1 words and shared the weights' buffer).
     From 2-D on it takes its partial sum and one axis-0 offset's gathered
-    runs, width·(r+1)^(dim−1) words each, the partial sums of axes
-    1..dim−2, its dim·(r+1) weights, (r+1)^(dim−2) run indices and, with
+    values, width·(r+1)^(dim−1) words each, the partial sums of axes
+    1..dim−2, its dim·(r+1) weights, (r+1)^(dim−2) node indices and, with
     more than one value per node, one row of repeated weights: 69 words in
-    2-D at r = 10 and width 2, where a full gather took 363.
+    2-D at r = 10 and width 2, where a full gather took 363.  That counts
+    every query as a run of one (`_runs`).  A run of several is weighted
+    over no more slots than it has queries, and what it adds fits in space
+    that its slots leave free: its columns, at most r+1 per slot, go into
+    the buffer of the gathered values, their source rows into that of the
+    leading axes' weights, and each query's r+1 gathered partial sums into
+    that of the partial sums.
     """
     if dim == 1:
         words = (r + 1) * (width + 1)
@@ -358,17 +376,24 @@ def _runs(lead: np.ndarray, last: np.ndarray, r: int):
 
 
 def _run_partials(shifted, table, strides, lo, hi, u, last, l0, r, width) -> np.ndarray:
-    """A block's partial sums over every axis but the last, (r+1, q, width):
-    row o of query i is its stencil's sum over the leading axes at its o-th
-    last-axis node, as `interpolate_values` describes, for the block's
-    queries ``u`` (levels l0.., dim, q) with last-axis starts ``last``.
+    """A block's sums over every axis but the last, (r+1, q, width): row o
+    of query i is its stencil's weighted sum over the leading axes at its
+    o-th last-axis node.  ``u`` holds the block's queries in index
+    coordinates, (levels from l0, dim, q), and ``last`` their last-axis
+    stencil starts, (levels, q).
 
-    Each run of `_runs` is weighted on the leading axes once, over slots of
-    r+1 consecutive columns that cover its columns, the last one clamped to
-    end at its last column, so each slot is a stencil that a query of the
-    run could have.  A run of one query is one slot, its own stencil, and a
-    block of such runs has its partial sums in place.  Otherwise the runs'
-    columns are laid out one after another and each query reads its r+1.
+    Each run of `_runs` is weighted on the leading axes once, over slots:
+    stencils of r+1 consecutive columns (last-axis nodes) that cover the
+    run's columns, each r+1 after the one before, the last clamped to end
+    at the run's last column, so that every slot is a stencil some query of
+    the run could have.  The loop over the axis-0 offsets gathers each
+    slot's nodes at that offset, weights them and adds them to a partial sum
+    from 0.0, as np.sum does; axes 1..dim−2 then reduce in order.  These are
+    the products, summed in the same order, of weighting a query's full
+    (r+1)^dim gather axis by axis.  A run of one query is one slot, its own
+    stencil, so a block of such runs has its sums in place.  Otherwise each
+    run's columns are laid out one after another and every query reads its
+    r+1 from there.
     """
     levels, nb = last.shape
     n, dim, lead = levels * nb, u.shape[1], table.shape[:-1]
@@ -376,6 +401,9 @@ def _run_partials(shifted, table, strides, lo, hi, u, last, l0, r, width) -> np.
     if runs is None:
         count, col, head = n, last.reshape(n), None
     else:
+        # 1 + ⌈(cmax − cmin)/(r+1)⌉ slots cover a run's cmax − cmin + r + 1
+        # columns; ``col`` is each slot's first column, ``head`` its run's
+        # first query.
         first, cmin, cmax = runs
         slots = (cmax - cmin + r) // (r + 1) + 1
         count = int(slots.sum())
@@ -397,20 +425,20 @@ def _run_partials(shifted, table, strides, lo, hi, u, last, l0, r, width) -> np.
     for ax, s in enumerate(starts):
         base = base + s * strides[lev, ax]
     node = np.add(table[..., lev], base, out=_scratch("node", lead + (count,), np.intp))
-    weights = _scratch("lead", (dim - 1, count * (r + 1)), float).reshape(dim - 1, r + 1, count)
+    weights = _scratch("lead", (dim - 1, r + 1, count), float)
     for ax, s in enumerate(starts):
         _stencil_weights(coords[ax] - s, r, out=weights[ax])
     block = _scratch("block", (r + 1,) + lead + (count, width), shifted.dtype)
-    run = _scratch("run", block.shape, shifted.dtype)
+    gathered = _scratch("run", block.shape, shifted.dtype)
     block.fill(0.0)
     step = strides[lev, 0]
     for w in weights[0]:
-        np.take(shifted, node, axis=1, out=run, mode="clip")
-        run *= _widen(w, width, "row")
-        block += run
+        np.take(shifted, node, axis=1, out=gathered, mode="clip")
+        gathered *= _widen(w, width, "row")
+        block += gathered
         node += step
-    # Axes 1..dim−2 lie at position 1 of the block; the spent runs' buffer
-    # takes their repeated weights.
+    # Axes 1..dim−2 lie at position 1 of the block; the spent gathered
+    # values' buffer takes their repeated weights.
     for ax in range(1, dim - 1):
         w = _widen(weights[ax], width, "run")
         block *= w.reshape(w.shape[:1] + (1,) * (block.ndim - 4) + w.shape[1:])
@@ -418,7 +446,7 @@ def _run_partials(shifted, table, strides, lo, hi, u, last, l0, r, width) -> np.
         block = _stencil_sum(block, 1, sums)
     if runs is None:
         return block
-    # Column c of a run is row c + shift of ``columns``, gathered from the
+    # Column c of a run is row c + shift of ``columns``, gathered from a
     # row of ``block`` that holds it; a clamped slot holds some columns of
     # its run twice, with the same bits.
     span = cmax - cmin + r + 1
@@ -458,11 +486,17 @@ def interpolate_values(
     `_block_rows`): a block holds whole levels when one level's queries
     fit, and otherwise a slice of one level's rows.  Each result depends on
     its own query and level only, and every stencil sum adds in index order
-    however many queries a block has, so grouping never changes a bit.  The
-    values are staged once per call in a shifted table, (r+1, nodes of all
-    levels, values per node), r+1 times their size, whose row o holds each
-    node's o-th neighbour along the last axis.  A block's run index,
-    weights, gathered runs and partial sums are written into this thread's
+    however many queries a block has, so grouping never changes a bit.
+    From 2-D on, each run of a block's consecutive queries on one level
+    that share every coordinate but the last is weighted on those leading
+    axes once, not once per query (`_runs`, `_run_partials`), with the same
+    bits: queries ordered with the last axis varying fastest, as
+    `fbsde.stepper.conditional_expectations` orders a window's Euler points,
+    cost less, and no order changes a result.  The values are staged once
+    per call in a shifted table, (r+1, nodes of all levels, values per
+    node), r+1 times their size, whose row o holds each node's o-th
+    neighbour along the last axis.  A block's node index, weights, gathered
+    values, partial sums and run columns are written into this thread's
     `_scratch` buffers, reused from call to call, so a repeated call of the
     same size allocates nothing block-sized; the result is always a fresh
     array.
@@ -547,28 +581,23 @@ def interpolate_values(
     # Gather from a shifted table of all levels' values laid end to end:
     # shifted[o, s] holds the values of node s + o of the flat row-major
     # sequence, for o = 0..r, so row o holds every node's o-th last-axis
-    # neighbour and a stencil's whole last-axis run is one index s.  A
+    # neighbour and a stencil's r+1 last-axis nodes are one index s.  A
     # node's values stay adjacent, so each index copies all of them at once.
     # The zero padding past the last node is never read: stencils stay
-    # inside their own level.  The index of a run is Σ_ax start_ax·stride_ax
-    # plus the offsets of axes 1..dim−2 and the level's corner, its first
-    # node less Σ_ax lo_ax·stride_ax; the offsets' part and the corner form
-    # a fixed table, shape (r+1,)*(dim−2) + (levels, 1), and each level's
-    # lo, hi and strides broadcast as (levels, 1) columns, so a block of
-    # several levels writes its index in one pass.  The hull test has passed
-    # and the starts are clamped into [lo, hi − r] of their own level, so
-    # every index is in range and the take may skip its own check
-    # (mode="clip"), which also lets it write into the buffer without a copy.
+    # inside their own level.  The index is Σ_ax start_ax·stride_ax plus the
+    # offsets of axes 1..dim−2 and the level's corner, its first node less
+    # Σ_ax lo_ax·stride_ax; the offsets' part and the corner form a fixed
+    # table, shape (r+1,)*(dim−2) + (levels,).  The hull test has passed and
+    # the starts are clamped into [lo, hi − r] of their own level, so every
+    # index is in range and the take may skip its own check (mode="clip"),
+    # which also lets it write into the buffer without a copy.
     #
-    # In 1-D one take gathers the block, (r+1, q, values).  From 2-D on, the
-    # loop over the axis-0 offsets gathers that offset's runs, weights them
-    # and adds them to a partial sum from 0.0, as np.sum does: the products
-    # and the order of every sum are those of weighting a full (r+1)^dim
-    # gather and summing it axis by axis, and so is every bit of the result.
-    # The partial sum is laid out (r+1 of the last axis) + (r+1 of axes
-    # 1..dim−2) + (q, values); axes 1..dim−2 then reduce in order and the
-    # last axis last, straight into the block's rows of the result.  Weights
-    # are repeated over a node's values (`_widen`), so every multiply and
+    # In 1-D one take gathers the block, (r+1, q, values), each level's lo,
+    # hi and corner broadcasting as a (levels, 1) column.  From 2-D on,
+    # `_run_partials` sums each query's stencil over the leading axes, once
+    # per run, into the same (r+1, q, values) layout.  The last axis then
+    # reduces straight into the block's rows of the result, its weights
+    # repeated over a node's values (`_widen`), so that every multiply and
     # sum runs over contiguous slabs of queries.
     width = math.prod(rest)
     dtype = np.result_type(*(vals.dtype for _, vals in levels), np.float64)

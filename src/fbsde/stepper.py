@@ -273,7 +273,11 @@ def conditional_expectations(
     block together (one span at least) get their Euler points in one
     :func:`euler_points` call and are read in one
     :func:`~fbsde.lattice.interpolate_values` call, each span on its own
-    level, so the points of only those spans exist at once.  The terms
+    level, so the points of only those spans exist at once.  A span's
+    points reach the kernel ordered (quadrature point, window node), the
+    window's last axis innermost, so where a and b read only their own axis
+    they come in runs of one window row, which the kernel weights on the
+    leading axes once per run.  The terms
     buffer is this thread's ``lattice._scratch`` buffer, reused from call to
     call; the returned moments are a fresh array.  Each sum and each read is
     elementwise, so the grouping never changes a bit.  A quadrature point

@@ -1,6 +1,7 @@
 """Lattice construction and barycentric interpolation."""
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -150,26 +151,11 @@ def _budget_for(rows, r, dim, width):
     return rows * (lattice._BLOCK_BYTES // lattice._block_rows(r, dim, width))
 
 
-@pytest.mark.parametrize(
-    "dim, r",
-    [pytest.param(dim, r, id=f"{dim}d-r{r}") for dim, r in
-     [(1, 18), (2, 4), (2, 10), (2, 18), (3, 4), (3, 8)]],
-)
-def test_gather_matches_per_axis_weighting_bitwise(monkeypatch, dim, r):
-    # Reference: index each axis separately, weight a fresh copy of the full
-    # (r+1)^dim gather, sum axis by axis, all in the stencil-major layout
-    # (stencil axes first, then the queries).  The degrees the solver uses
-    # have more than 8 stencil entries, where a pairwise sum would differ
-    # from the in-order one.  A budget of 8 queries splits the 37 queries
-    # over 5 blocks.
-    monkeypatch.setattr(lattice, "_BLOCK_BYTES", _budget_for(8, r, dim, 2))
-    assert lattice._block_rows(r, dim, 2) == 8
-    rng = np.random.default_rng(5)
-    h = 0.05
-    radius = np.array([0.6, 0.4, 0.3])[:dim] + r * h / 2
-    lat = build_lattice(np.array([0.1, -0.2, 0.3])[:dim], h, radius, r=r)
-    values = rng.uniform(-3, 3, size=lat.shape + (2, 1))
-    queries = rng.uniform(-1, 1, size=(37, dim)) * radius + lat.origin
+def _per_axis_reference(lat, values, queries, r):
+    """Index each axis separately, weight a fresh copy of the full (r+1)^dim
+    gather and sum it axis by axis, all in the stencil-major layout (stencil
+    axes first, then the queries, then each node's values)."""
+    dim, rest = lat.dim, values.shape[lat.dim:]
     idx, weights = [], []
     for ax in range(dim):
         starts, w = _axis_stencil(
@@ -182,14 +168,180 @@ def test_gather_matches_per_axis_weighting_bitwise(monkeypatch, dim, r):
         weights.append(w)
     want = values[tuple(idx)]
     for ax, w in enumerate(weights):
-        w = w.reshape((r + 1,) + (1,) * (dim - 1 - ax) + (len(queries), 1, 1))
+        w = w.reshape((r + 1,) + (1,) * (dim - 1 - ax) + (len(queries),) + (1,) * len(rest))
         want = np.sum(want * w, axis=0)
+    return want
+
+
+@pytest.mark.parametrize(
+    "dim, r",
+    [pytest.param(dim, r, id=f"{dim}d-r{r}") for dim, r in
+     [(1, 18), (2, 4), (2, 10), (2, 18), (3, 4), (3, 8)]],
+)
+def test_gather_matches_per_axis_weighting_bitwise(monkeypatch, dim, r):
+    # Reference: `_per_axis_reference`.  The degrees the solver uses
+    # have more than 8 stencil entries, where a pairwise sum would differ
+    # from the in-order one.  A budget of 8 queries splits the 37 queries
+    # over 5 blocks.
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", _budget_for(8, r, dim, 2))
+    assert lattice._block_rows(r, dim, 2) == 8
+    rng = np.random.default_rng(5)
+    h = 0.05
+    radius = np.array([0.6, 0.4, 0.3])[:dim] + r * h / 2
+    lat = build_lattice(np.array([0.1, -0.2, 0.3])[:dim], h, radius, r=r)
+    values = rng.uniform(-3, 3, size=lat.shape + (2, 1))
+    queries = rng.uniform(-1, 1, size=(37, dim)) * radius + lat.origin
+    want = _per_axis_reference(lat, values, queries, r)
     got = interpolate_values(lat, values, queries, r)
     assert got.tobytes() == want.tobytes()
     ints = np.round(values * 100).astype(int)
     got_int = interpolate_values(lat, ints, queries, r)
     want_int = interpolate_values(lat, ints.astype(float), queries, r)
     assert np.array_equal(got_int, want_int)
+
+
+def _tensor_lattice(dim, r):
+    h = 0.05
+    radius = np.array([0.6, 0.4, 0.3])[:dim] + r * h / 2
+    return build_lattice(np.array([0.1, -0.2, 0.3])[:dim], h, radius, r=r)
+
+
+def _tensor_queries(lat, counts, rng, hull=False, hits=False):
+    """Every combination of per-axis coordinates, the last axis innermost,
+    so the queries come in runs of ``counts[-1]`` that share their leading
+    coordinates, as the Euler points of a window do when each coefficient
+    reads its own axis.  Each axis's coordinates are spread evenly over the
+    hull with jitter; ``hull`` puts the hull's ends and points near them on
+    every axis (one-sided stencils), ``hits`` puts nodes and points nudged
+    by less than the snap tolerance on axis 0."""
+    low, high = lat.bounds
+    axes = []
+    for ax, count in enumerate(counts):
+        x = np.linspace(low[ax], high[ax], count)
+        x[1:-1] += rng.uniform(-0.3, 0.3, count - 2) * lat.h
+        if hull:
+            x[[1, -2]] = low[ax] + 0.4 * lat.h, high[ax] - 0.4 * lat.h
+        else:
+            x[[0, -1]] += np.array([0.5, -0.5]) * lat.h
+        if hits and ax == 0:
+            nodes = lat.axis_coords(0)
+            x = rng.choice(nodes, count, replace=False)
+            x[::2] += 0.1 * NODE_SNAP_TOL * lat.h * rng.uniform(-1, 1, x[::2].size)
+            x = np.clip(x, low[0], high[0])
+        axes.append(x)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lat.dim)
+
+
+def _block_runs(lat, queries, r):
+    """`lattice._runs` of ``queries`` read on ``lat`` in one block."""
+    u = ((queries - lat.origin) / lat.h).T[None]
+    last = _stencil_starts(u[:, -1], r, int(lat.lo[-1]), int(lat.hi[-1]))
+    return lattice._runs(u[:, :-1], last, r)
+
+
+def _mixed_runs(queries, run_length, rng):
+    """Stretches of random length, 1 to 2·run_length − 1, cut from
+    successive runs of ``run_length`` queries and laid end to end."""
+    keep = []
+    for start in range(0, len(queries), run_length):
+        length = int(rng.integers(1, 2 * run_length))
+        keep.extend(range(start, start + min(length, run_length)))
+    return queries[keep]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize(
+    "dim, r, counts",
+    [
+        pytest.param(2, 4, (6, 23), id="2d-r4"),
+        pytest.param(2, 10, (5, 31), id="2d-r10"),
+        pytest.param(3, 4, (4, 3, 17), id="3d-r4"),
+        pytest.param(3, 8, (3, 2, 19), id="3d-r8"),
+    ],
+)
+@pytest.mark.parametrize(
+    "case", ["interior", "hull", "axis-0-hits", "split-blocks", "mixed-lengths"]
+)
+def test_runs_of_shared_leading_coordinates_match_per_axis_weighting_bitwise(
+    monkeypatch, dim, r, counts, width, case
+):
+    """Tensor-grid queries, read in runs that share every coordinate but
+    the last, give the bytes of weighting each query's full gather axis by
+    axis: inside the hull, with one-sided stencils on every axis, with node
+    hits on axis 0, with runs split over blocks of 7 queries, and with runs
+    of mixed lengths, down to one query."""
+    rng = np.random.default_rng(dim * 100 + r)
+    lat = _tensor_lattice(dim, r)
+    values = rng.uniform(-3, 3, size=lat.shape + (width,))
+    queries = _tensor_queries(
+        lat, counts, rng, hull=case == "hull", hits=case == "axis-0-hits"
+    )
+    if case == "mixed-lengths":
+        queries = _mixed_runs(queries, counts[-1], rng)
+    else:
+        first, _, _ = _block_runs(lat, queries, r)
+        assert first.tolist() == list(range(0, len(queries), counts[-1]))
+    if case == "split-blocks":
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", _budget_for(7, r, dim, width))
+        assert lattice._block_rows(r, dim, width) == 7
+    got = interpolate_values(lat, values, queries, r)
+    assert got.tobytes() == _per_axis_reference(lat, values, queries, r).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim, r, counts", [(2, 10, (9, 31)), (3, 4, (5, 4, 17))], ids=["2d-r10", "3d-r4"]
+)
+@pytest.mark.parametrize("shuffle", ["queries", "within-runs"])
+def test_shuffled_queries_match_per_axis_weighting_and_keep_runs_narrow(
+    dim, r, counts, shuffle
+):
+    """Queries whose equal leading coordinates are not adjacent, or whose
+    runs jump back and forth along the last axis, give the bytes of the
+    per-axis reference too.  A run never spans more than r+1 columns per
+    query, so it is weighted over no more slots than it has queries, and
+    shuffling never costs more leading-axes work than one query at a time."""
+    rng = np.random.default_rng(17)
+    lat = _tensor_lattice(dim, r)
+    values = rng.uniform(-3, 3, size=lat.shape + (2,))
+    queries = _tensor_queries(lat, counts, rng)
+    if shuffle == "queries":
+        queries = queries[rng.permutation(len(queries))]
+    else:
+        runs = queries.reshape(-1, counts[-1], dim)
+        queries = np.concatenate([run[rng.permutation(counts[-1])] for run in runs])
+    first, cmin, cmax = _block_runs(lat, queries, r)
+    lengths = np.diff(first, append=len(queries))
+    assert np.all(cmax - cmin <= (lengths - 1) * (r + 1))
+    slots = (cmax - cmin + r) // (r + 1) + 1
+    assert np.all(slots <= lengths)
+    if shuffle == "within-runs":
+        assert len(first) > math.prod(counts[:-1])  # the jumps split runs
+    got = interpolate_values(lat, values, queries, r)
+    assert got.tobytes() == _per_axis_reference(lat, values, queries, r).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("budget", [None, 150], ids=["one-block", "levels-share-blocks"])
+def test_runs_of_a_grouped_call_stay_within_their_level_bitwise(monkeypatch, dim, budget):
+    """Each level of a grouped call reads tensor-grid points on its own hull,
+    the runs of the level before it turned by one run, so the last run of a
+    level and the first of the next share their leading coordinates but not
+    their stencils: runs end where a level does, and every level gets the
+    bytes of the per-axis reference on its own lattice, in one block or
+    with two levels to a block."""
+    r = 4
+    levels, _ = _grouped_inputs(dim, [8, 11, 9])
+    counts = (3, 2, 13) if dim == 3 else (5, 13)
+    queries = _tensor_queries(levels[0][0], counts, np.random.default_rng(23))
+    queries = np.stack([np.roll(queries, ell * counts[-1], axis=0) for ell in range(3)])
+    if budget is not None:
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", _budget_for(budget, r, dim, 3))
+    (lat, values), *more = levels
+    got = interpolate_values(lat, values, queries, r, more=more)
+    want = np.concatenate([
+        _per_axis_reference(level, vals, rows, r) for (level, vals), rows in zip(levels, queries)
+    ])
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -234,53 +386,69 @@ def test_degree_18_reproduces_polynomials_and_returns_nodes_bitwise():
         assert np.array_equal(interpolate_values(lat, values, pts[:, None], r), values)
 
 
+def _spread_queries(kind, count, rng):
+    """``count`` 2-D queries inside ±0.9: uniform at random, or a tensor
+    grid of runs of 40 that share their axis-0 coordinate."""
+    if kind == "random":
+        return rng.uniform(-0.9, 0.9, size=(count, 2))
+    x0, x1 = rng.uniform(-0.9, 0.9, count // 40), np.linspace(-0.9, 0.9, 40)
+    return np.stack(np.meshgrid(x0, x1, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
 def test_interpolation_memory_is_bounded_by_the_block_budget():
-    """A 2-D r = 10 gather over 20,000 queries stays near one block in memory.
+    """A 2-D r = 10 gather over 20,000 queries stays near one block in
+    memory, whether every query is a run of one or they come in runs of 40.
 
     Unblocked, the gather alone would take 20,000 × 121 × 3 × 8 B ≈ 58 MB.
     """
     rng = np.random.default_rng(3)
     lat = build_lattice([0.0, 0.0], 0.05, 1.0, r=10)
     values = rng.uniform(-1, 1, size=lat.shape + (2,))
-    queries = rng.uniform(-0.9, 0.9, size=(20_000, 2))
-    tracemalloc.start()
-    try:
-        out = interpolate_values(lat, values, queries, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (20_000, 2)
-    # One block's buffers, the shifted table (0.3 MB), and the per-query
-    # coordinates, overhangs and output (a few times queries.nbytes).
-    assert peak < 1.5 * lattice._BLOCK_BYTES + 8 * queries.nbytes
+    for kind in ("random", "tensor"):
+        queries = _spread_queries(kind, 20_000, rng)
+        tracemalloc.start()
+        try:
+            out = interpolate_values(lat, values, queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (20_000, 2)
+        # One block's buffers, the shifted table (0.3 MB), and the per-query
+        # coordinates, overhangs and output (a few times queries.nbytes).
+        assert peak < 1.5 * lattice._BLOCK_BYTES + 8 * queries.nbytes, kind
 
 
 def test_repeated_interpolation_allocates_nothing_block_sized():
-    """After a warm-up, a call of the same size reuses the block buffers.
+    """After a warm-up, a call of the same size reuses the block buffers,
+    whether every query is a run of one or they come in runs of 40.
 
     The 2,000 queries of a 2-D r = 10 gather fit one block at the default
     budget, whose buffers (partial sums, one axis-0 offset's runs, weights,
-    run index and repeated weights) take 69 × 2,000 × 8 B ≈ 1.1 MB.  The
-    bound, 699 kB (121 × 722 × 8 B, a block's node index when the kernel
-    gathered whole stencils), stays below that and above what a call
-    allocates afresh: the shifted table, 1,681 nodes × 2 values × 11
-    offsets × 8 B ≈ 0.3 MB, and the per-call arrays (coordinates,
-    overhangs, output), a few times queries.nbytes = 32 kB.
+    run index and repeated weights) take 69 × 2,000 × 8 B ≈ 1.1 MB.  In runs
+    of 40, the leading axes are weighted over 200 slots instead of 2,000
+    queries, and the runs' columns and each query's gathered partial sums
+    reuse the buffers of the runs and the partial sums.  The bound, 699 kB (121 × 722 × 8 B, a block's node index
+    when the kernel gathered whole stencils), stays below that and above
+    what a call allocates afresh: the shifted table, 1,681 nodes × 2 values
+    × 11 offsets × 8 B ≈ 0.3 MB, and the per-call and per-run arrays
+    (coordinates, overhangs, output, run bounds), a few times
+    queries.nbytes = 32 kB.
     """
     rng = np.random.default_rng(3)
     lat = build_lattice([0.0, 0.0], 0.05, 1.0, r=10)
     values = rng.uniform(-1, 1, size=lat.shape + (2,))
-    queries = rng.uniform(-0.9, 0.9, size=(2_000, 2))
-    first = interpolate_values(lat, values, queries, 10)
-    tracemalloc.start()
-    try:
-        second = interpolate_values(lat, values, queries, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(first, second)
     rows = lattice._BLOCK_BYTES // (11**2 * 3 * 8)
-    assert peak < 11**2 * rows * 8
+    for kind in ("random", "tensor"):
+        queries = _spread_queries(kind, 2_000, rng)
+        first = interpolate_values(lat, values, queries, 10)
+        tracemalloc.start()
+        try:
+            second = interpolate_values(lat, values, queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, second)
+        assert peak < 11**2 * rows * 8, kind
 
 
 def test_results_do_not_alias_the_workspace():

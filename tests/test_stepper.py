@@ -1041,6 +1041,33 @@ def test_interpolation_block_size_never_changes_a_solve(monkeypatch):
     assert np.array_equal(y0, y1) and np.array_equal(z0, z1)
 
 
+def test_two_dimensional_spans_reach_the_kernel_in_runs_of_one_window_row(monkeypatch):
+    """example3's a_i and b_i read only x_i, so the Euler points of one
+    window row and quadrature point share their axis-0 coordinate.  Each
+    span's points reach the kernel ordered (quadrature point, window node),
+    the window's last axis innermost, so every run of queries with equal
+    leading coordinates is exactly one window row long: the runs whose
+    leading-axes work `interpolate_values` shares."""
+    expectations, interpolate = stepper.conditional_expectations, stepper.interpolate_values
+    rows, runs = [], []
+
+    def recording_expectations(window, x, *args):
+        rows.append(int(np.count_nonzero(x[:, 0] == x[0, 0])))
+        return expectations(window, x, *args)
+
+    def recording_interpolate(lattice, values, queries, r, *, more=()):
+        for level in queries.reshape((-1,) + queries.shape[-2:]):
+            heads = np.flatnonzero(np.any(level[1:, :-1] != level[:-1, :-1], axis=1)) + 1
+            runs.append((rows[-1], set(np.diff(heads, prepend=0, append=len(level)).tolist())))
+        return interpolate(lattice, values, queries, r, more=more)
+
+    monkeypatch.setattr(stepper, "conditional_expectations", recording_expectations)
+    monkeypatch.setattr(stepper, "interpolate_values", recording_interpolate)
+    solve(get_problem("example3"), SolverConfig(k=3, n_steps=7))
+    assert runs and max(rows) > 1
+    assert all(lengths == {row} for row, lengths in runs)
+
+
 def test_coupled_ramp_converges_at_default_tolerance():
     """The ramp's outer loops converge at the default tolerance.
 
