@@ -47,9 +47,9 @@ and every result is the one a call per level would give, to the bit.
 
 The kernel's block-sized arrays (node index, stencil weights, gathered
 values, partial sums, run columns and repeated weights) live in a per-thread
-workspace that is kept between calls, so a solve does not allocate, and have the kernel zero-fill, the same
-pages again for every block.  The shifted table, r+1 times the levels'
-values, is built per call.
+workspace that is kept between calls, so a solve does not allocate, and have
+the kernel zero-fill, the same pages again for every block.  The shifted
+table, r+1 times the levels' values, is built per call.
 """
 
 from __future__ import annotations
@@ -350,7 +350,9 @@ def _block_rows(r: int, dim: int, width: int) -> int:
     return max(1, _BLOCK_BYTES // (words * 8))
 
 
-def _runs(lead: np.ndarray, last: np.ndarray, r: int):
+def _runs(
+    lead: np.ndarray, last: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The runs of a block's queries, whose leading-axes work is shared.
 
     ``lead`` holds the queries' coordinates on every axis but the last,

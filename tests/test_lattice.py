@@ -201,6 +201,8 @@ def test_gather_matches_per_axis_weighting_bitwise(monkeypatch, dim, r):
 
 
 def _tensor_lattice(dim, r):
+    """A lattice of h = 0.05 with axes of different lengths, wide enough
+    for a degree-r stencil on each."""
     h = 0.05
     radius = np.array([0.6, 0.4, 0.3])[:dim] + r * h / 2
     return build_lattice(np.array([0.1, -0.2, 0.3])[:dim], h, radius, r=r)
@@ -312,8 +314,6 @@ def test_shuffled_queries_match_per_axis_weighting_and_keep_runs_narrow(
     first, cmin, cmax = _block_runs(lat, queries, r)
     lengths = np.diff(first, append=len(queries))
     assert np.all(cmax - cmin <= (lengths - 1) * (r + 1))
-    slots = (cmax - cmin + r) // (r + 1) + 1
-    assert np.all(slots <= lengths)
     if shuffle == "within-runs":
         assert len(first) > math.prod(counts[:-1])  # the jumps split runs
     got = interpolate_values(lat, values, queries, r)
