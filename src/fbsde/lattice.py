@@ -67,9 +67,10 @@ MAX_NODES = 100_000_000
 
 #: Bytes of the buffers that one block of queries in `interpolate_values`
 #: holds; memory stays flat however many queries come.
-#: `fbsde.stepper.conditional_expectations` groups its spans' quadrature
-#: terms by the same budget.  Both take their buffers from `_scratch`, which
-#: keeps one block's worth per thread at the largest budget used so far.
+#: `fbsde.stepper.conditional_expectations` reads its spans in groups that
+#: fit the same budget, terms, values, points and index coordinates counted.
+#: Both take their buffers from `_scratch`, which keeps one block's worth per
+#: thread at the largest budget used so far.
 _BLOCK_BYTES = 2 * 2**20
 
 #: Queries within this fraction of h of a node snap to the stored value, and
@@ -104,7 +105,9 @@ def _check_spacing(h: float) -> None:
 class Lattice:
     """Uniform lattice: node(i) = origin + i·h, lo ≤ i ≤ hi (per axis).
 
-    More than ``MAX_NODES`` nodes raise TooManyNodes; only the shape is built.
+    A non-finite origin, non-integer bounds or fields of different lengths
+    raise ValueError naming the field.  More than ``MAX_NODES`` nodes raise
+    TooManyNodes; only the shape is built.
     """
 
     origin: np.ndarray
@@ -116,8 +119,16 @@ class Lattice:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "origin", np.atleast_1d(np.asarray(self.origin, float)))
-        object.__setattr__(self, "lo", np.atleast_1d(np.asarray(self.lo, int)))
-        object.__setattr__(self, "hi", np.atleast_1d(np.asarray(self.hi, int)))
+        for name in ("lo", "hi"):
+            bound = np.atleast_1d(np.asarray(getattr(self, name)))
+            whole = bound.dtype.kind in "iuf" and np.isfinite(bound).all()
+            if not whole or (np.round(bound) != bound).any():
+                raise ValueError(f"{name} must hold integers, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, bound.astype(int))
+        if not self.origin.shape == self.lo.shape == self.hi.shape == (self.dim,):
+            raise ValueError(f"origin, lo and hi differ in length: {self.origin} {self.lo} {self.hi}")
+        if not np.isfinite(self.origin).all():
+            raise ValueError(f"origin must be finite, got {self.origin}")
         object.__setattr__(self, "shape", tuple(int(n) for n in (self.hi - self.lo + 1)))
         _check_spacing(self.h)
         if np.any(self.hi < self.lo):

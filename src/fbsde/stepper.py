@@ -262,24 +262,21 @@ def conditional_expectations(
     ``window[j-1]`` holds sealed level n+j, whose Y (slot 0 of its (Y, Z)
     array) is interpolated on its own lattice.  The forward coefficients
     are frozen at (t_n, x) and the iterate ``yz`` and evaluated once for all
-    spans.  The interpolated level values at the quadrature nodes are
-    computed once per (x, j, q) and reused by both moments.  Quadrature sums
-    are compensated and run in fixed q order.  The terms are laid out
-    quadrature index outermost, (Q, spans, P, m, 1+d) with both moments side
-    by side, and the spans are summed in groups whose terms fit in
-    ``lattice._BLOCK_BYTES`` (one span at least): one
-    :func:`~fbsde.hermite.kahan_sum` per group over contiguous slabs.
-    Within a group, the spans whose quadrature points fit one interpolation
-    block together (one span at least) get their Euler points in one
-    :func:`euler_points` call and are read in one
-    :func:`~fbsde.lattice.interpolate_values` call, each span on its own
-    level, so the points of only those spans exist at once.  A span's
-    points reach the kernel ordered (quadrature point, window node), the
-    window's last axis innermost, so where a and b read only their own axis
-    they come in runs of one window row, which the kernel weights on the
-    leading axes once per run.  The terms
-    buffer is this thread's ``lattice._scratch`` buffer, reused from call to
-    call; the returned moments are a fresh array.  Each sum and each read is
+    spans.  The spans go in groups that fit ``lattice._BLOCK_BYTES`` (one
+    span at least), a span taking Q·P·(m·(2+d) + 2n)·8 B: its terms, the Y
+    values read, its Euler points and the kernel's index coordinates of
+    them.  A group gets its points from one :func:`euler_points` call, is
+    read in one :func:`~fbsde.lattice.interpolate_values` call, each span on
+    its own level, and the kernel alone cuts the queries into blocks.  The
+    values read at the quadrature nodes serve both moments, whose terms are
+    laid out quadrature index outermost, (Q, spans, P, m, 1+d), and summed
+    by one compensated :func:`~fbsde.hermite.kahan_sum` per group in fixed q
+    order.  A span's points reach the kernel ordered (quadrature point,
+    window node), the window's last axis innermost, so where a and b read
+    only their own axis they come in runs of one window row, which the
+    kernel weights on the leading axes once per run.  The terms buffer is
+    this thread's ``lattice._scratch`` buffer, reused from call to call; the
+    returned moments are a fresh array.  Each sum and each read is
     elementwise, so the grouping never changes a bit.  A quadrature point
     outside the lattice of the level it reads raises
     :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the level's t,
@@ -302,38 +299,29 @@ def conditional_expectations(
     b_val = np.asarray(problem.b(t_n, x, yz[..., 0], yz[..., 1:]), float)
     q, w = rule.points()
     Q, d = q.shape
-    span_bytes = Q * P * m * (1 + d) * 8
-    group = max(1, _lattice._BLOCK_BYTES // span_bytes)
-    reads = max(1, _lattice._block_rows(r, n, m) // (Q * P))
+    group = max(1, _lattice._BLOCK_BYTES // (Q * P * (m * (2 + d) + 2 * n) * 8))
     moments = np.empty((len(window), P, m, 1 + d))
     for first in range(0, len(window), group):
-        spans = window[first : first + group]
-        terms = _lattice._scratch("terms", (Q, len(spans), P, m, 1 + d), float)
-        for s in range(0, len(spans), reads):
-            levels = spans[s : s + reads]
-            G = len(levels)
-            j = np.arange(first + s + 1, first + s + 1 + G)
-            nodes, dw = euler_points(x, a_val, b_val, q, j, dt)
-            try:
-                vals = interpolate_values(
-                    levels[0].lattice, levels[0].yz[..., 0], nodes.reshape(G, Q * P, n), r,
-                    more=[(level.lattice, level.yz[..., 0]) for level in levels[1:]],
-                )
-            except OutOfDomain as err:
-                raise OutOfDomain(
-                    f"query cone too small at t = {t_n:.6g}, span j={j[err.level]}, "
-                    f"reading level t = {levels[err.level].t:.6g}: {err}"
-                ) from err
-            # Values come level-major; the terms take them quadrature-major.
-            weighted = np.multiply(
-                vals.reshape(G, Q, P, m).swapaxes(0, 1), w[:, None, None, None],
-                out=terms[:, s : s + G, ..., 0],
+        levels = window[first : first + group]
+        G = len(levels)
+        j = np.arange(first + 1, first + 1 + G)
+        nodes, dw = euler_points(x, a_val, b_val, q, j, dt)
+        try:
+            vals = interpolate_values(
+                levels[0].lattice, levels[0].yz[..., 0], nodes.reshape(G, Q * P, n), r,
+                more=[(level.lattice, level.yz[..., 0]) for level in levels[1:]],
             )
-            np.multiply(
-                weighted[..., None], dw.swapaxes(0, 1)[:, :, None, None, :],
-                out=terms[:, s : s + G, ..., 1:],
-            )
-        np.multiply(norm, kahan_sum(terms), out=moments[first : first + len(spans)])
+        except OutOfDomain as err:
+            raise OutOfDomain(
+                f"query cone too small at t = {t_n:.6g}, span j={j[err.level]}, "
+                f"reading level t = {levels[err.level].t:.6g}: {err}"
+            ) from err
+        # Values come level-major; the terms take them quadrature-major.
+        terms = _lattice._scratch("terms", (Q, G, P, m, 1 + d), float)
+        vals = vals.reshape(G, Q, P, m).swapaxes(0, 1)
+        weighted = np.multiply(vals, w[:, None, None, None], out=terms[..., 0])
+        np.multiply(weighted[..., None], dw.swapaxes(0, 1)[:, :, None, None, :], out=terms[..., 1:])
+        np.multiply(norm, kahan_sum(terms), out=moments[first : first + G])
     return moments
 
 

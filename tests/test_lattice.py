@@ -71,6 +71,38 @@ def test_lattice_validation():
         build_lattice(0.0, 1.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        (dict(origin=[0.0, 1.0], lo=[-2], hi=[3, 1]), "origin, lo and hi differ in length"),
+        (dict(origin=[0.0], lo=[-2, -1], hi=[3]), "origin, lo and hi differ in length"),
+        (dict(origin=[0.0, 1.0], lo=[-2, -1], hi=[[3, 1]]), "origin, lo and hi differ in length"),
+        (dict(origin=[np.nan], lo=[-2], hi=[3]), "origin must be finite"),
+        (dict(origin=[0.0, np.inf], lo=[-2, -2], hi=[3, 3]), "origin must be finite"),
+        (dict(origin=[0.0], lo=[-2.7], hi=[3]), "lo must hold integers"),
+        (dict(origin=[0.0], lo=[-2], hi=3.9), "hi must hold integers"),
+        (dict(origin=[0.0], lo=[np.nan], hi=[3]), "lo must hold integers"),
+        (dict(origin=[0.0], lo=[-2], hi=[np.inf]), "hi must hold integers"),
+        (dict(origin=[0.0], lo=[True], hi=[3]), "lo must hold integers"),
+    ],
+    ids=[
+        "origin-2-lo-1", "origin-1-lo-2", "hi-2d", "nan-origin", "inf-origin",
+        "fractional-lo", "fractional-hi", "nan-lo", "inf-hi", "bool-lo",
+    ],
+)
+def test_lattice_rejects_mismatched_nonfinite_and_fractional_fields(fields, match):
+    """Each bad field raises ValueError naming it, where it used to build a
+    lattice of the wrong dim or truncated bounds."""
+    with pytest.raises(ValueError, match=match):
+        Lattice(h=0.5, **fields)
+
+
+def test_lattice_accepts_whole_number_float_bounds():
+    lat = Lattice(origin=[0.0], h=0.5, lo=[-2.0], hi=3.0)
+    assert lat.lo.dtype.kind == lat.hi.dtype.kind == "i"
+    assert lat.shape == (6,)
+
+
 @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
 def test_spacing_and_radius_must_be_finite(h):
     with pytest.raises(ValueError, match=f"spacing h must be finite and positive, got {h}"):

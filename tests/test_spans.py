@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fbsde.lattice
 import fbsde.stepper as stepper
 from fbsde.problems import get_problem
 from fbsde.stepper import SolverConfig, solve
@@ -71,3 +72,38 @@ def test_traced_solve_is_bit_identical_with_one_step_span_per_level(name, cfg):
     metrics = spans.layer_metrics(tracer.spans, 0, traced.diagnostics)
     assert metrics["stepper.levels"] == levels
     assert metrics["stepper.passes"] >= levels
+
+
+@pytest.mark.parametrize(
+    "name, cfg",
+    [
+        ("example1", SolverConfig(k=9, n_steps=32, r=18, gh_points=24)),
+        ("example3", SolverConfig(k=3, n_steps=12)),
+    ],
+    ids=["example1", "example3"],
+)
+def test_interp_counters_match_the_quadrature_groups(monkeypatch, name, cfg):
+    """One kernel call reads a whole quadrature group of a pass, so
+    ``lattice.interp_calls`` counts the passes' groups and
+    ``lattice.interp_queries`` every span's Q·P Euler points.  These are the
+    ``scalar-k9`` and ``system-2d`` settings, whose first passes make two
+    groups."""
+    groups, queries = [], []
+    expectations = stepper.conditional_expectations
+
+    def recording(window, x, t_n, dt, problem, yz, rule, r):
+        P, m, width = yz.shape
+        span = rule.npoints * P * (m * (1 + width) + 2 * x.shape[1]) * 8
+        group = max(1, fbsde.lattice._BLOCK_BYTES // span)
+        groups.append(-(-len(window) // group))
+        queries.append(len(window) * rule.npoints * P)
+        return expectations(window, x, t_n, dt, problem, yz, rule, r)
+
+    monkeypatch.setattr(stepper, "conditional_expectations", recording)
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        traced = tracer.solve(0, solve, tracer.problem(get_problem(name)), cfg)
+    metrics = spans.layer_metrics(tracer.spans, 0, traced.diagnostics)
+    assert metrics["stepper.passes"] == len(groups)
+    assert metrics["lattice.interp_calls"] == sum(groups)
+    assert metrics["lattice.interp_queries"] == sum(queries)

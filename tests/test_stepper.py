@@ -288,10 +288,18 @@ def _first_expectations_call(monkeypatch, name, cfg):
     return call.value.args[0]
 
 
-def _span_bytes(args):
+def _terms_bytes(args):
     """Bytes of one span's quadrature terms, Q·P·m·(1+d)·8."""
     yz, rule = args[5], args[6]
     return rule.npoints * yz.size * 8
+
+
+def _span_bytes(args):
+    """Bytes of the block budget one span takes, Q·P·(m·(2+d) + 2n)·8: its
+    terms, the Y values read, its Euler points and their index coordinates."""
+    x, yz, rule = args[1], args[5], args[6]
+    P, m, width = yz.shape
+    return rule.npoints * P * (m * (1 + width) + 2 * x.shape[1]) * 8
 
 
 @pytest.mark.parametrize(
@@ -329,21 +337,15 @@ def test_batched_span_sums_match_single_spans_bytewise(monkeypatch, name, cfg):
 
 
 @pytest.mark.parametrize(
-    "name, cfg, budget",
-    [
-        ("example1", SolverConfig(k=5, n_steps=10), None),
-        ("example3", SolverConfig(k=3, n_steps=7), 64 * 2**20),
-    ],
+    "name, cfg",
+    [("example1", SolverConfig(k=5, n_steps=10)), ("example3", SolverConfig(k=3, n_steps=7))],
     ids=["example1", "example3"],
 )
-def test_grouped_span_reads_match_one_read_per_span_bytewise(monkeypatch, name, cfg, budget):
-    """Spans whose points fit one interpolation block are read in one
-    interpolate_values call, each on its own level, and give the moments'
-    bytes of reading every span alone.  example3's spans fill a block each
-    at the default budget, so a 64 MiB one groups them."""
+def test_grouped_span_reads_match_one_read_per_span_bytewise(monkeypatch, name, cfg):
+    """The spans of a quadrature group are read in one interpolate_values
+    call, each on its own level, and give the moments' bytes of reading
+    every span alone."""
     args = _first_expectations_call(monkeypatch, name, cfg)
-    if budget is not None:
-        monkeypatch.setattr(fbsde.lattice, "_BLOCK_BYTES", budget)
     interpolate = stepper.interpolate_values
     calls = []
 
@@ -367,17 +369,19 @@ def test_grouped_span_reads_match_one_read_per_span_bytewise(monkeypatch, name, 
 
 
 def test_expectations_memory_is_bounded_by_the_block_budget(monkeypatch):
-    """One call holds one group of span terms, not every span's at once.
+    """One call holds one group of spans, not every span's at once.
 
     The first example3 window at n_steps=12 reads 6 levels from 625 nodes:
-    8 × 625 × 2 × 2 × 8 B = 0.16 MB of quadrature terms per span.  With
-    the budget at one span, all six spans' terms at once would take six
-    budgets.
+    8 × 625 × 2 × 2 × 8 B = 0.16 MB of quadrature terms per span, and
+    8 × 625 × (2 × 3 + 2 × 2) × 8 B = 0.4 MB of the block budget with the
+    Y values read, the Euler points and their index coordinates.  With the
+    budget at one span, all six spans' terms at once would take six times
+    the terms.
     """
     args = _first_expectations_call(monkeypatch, "example3", SolverConfig(k=3, n_steps=12))
     window, x, rule = args[0], args[1], args[6]
-    span = _span_bytes(args)
-    monkeypatch.setattr(fbsde.lattice, "_BLOCK_BYTES", span)
+    span = _terms_bytes(args)
+    monkeypatch.setattr(fbsde.lattice, "_BLOCK_BYTES", _span_bytes(args))
     tracemalloc.start()
     try:
         out = conditional_expectations(*args)
@@ -411,10 +415,13 @@ def test_repeated_expectations_allocate_nothing_block_sized():
     """After a warm-up, a call of the same size reuses the quadrature-term
     buffer and the interpolation blocks.
 
-    Each span's terms take 24 × 200 × 4 × 2 × 8 B = 0.6 MB, so a group holds
-    three spans (1.8 MB), and one interpolation block gathers 1.7 MB.  The
-    arrays a call makes afresh (points, hull test, values read, the sums and
-    the moments) stay well below either.
+    Each span's terms take 24 × 200 × 4 × 2 × 8 B = 307,200 B, and the
+    block budget, 2 MiB, holds six spans' terms (1.84 MB).  One
+    interpolation block gathers 1.68 MB.  A span takes
+    24 × 200 × (4 × 3 + 2) × 8 B = 537,600 B of that budget with its values
+    read, points and index coordinates, so a group holds three spans.  The
+    arrays a call makes afresh (a group's points, hull test and values read,
+    the sums and the moments) stay below both.
     """
     args = _many_component_expectations_args()
     first = conditional_expectations(*args)
@@ -430,6 +437,27 @@ def test_repeated_expectations_allocate_nothing_block_sized():
     group = (fbsde.lattice._BLOCK_BYTES // span) * span
     rows = fbsde.lattice._BLOCK_BYTES // (11 * 5 * 8)
     assert peak < min(group, 11 * rows * 4 * 8)
+
+
+def test_each_quadrature_group_is_read_in_one_kernel_call(monkeypatch):
+    """conditional_expectations reads all the levels of a quadrature group
+    in one interpolate_values call and leaves cutting its queries into
+    blocks to the kernel.  A span takes 537,600 B of the 2 MiB budget, so
+    six spans make two groups of three, though one kernel block holds only
+    4,766 of a group's 14,400 queries."""
+    args = _many_component_expectations_args()
+    window, interpolate = args[0], stepper.interpolate_values
+    calls = []
+
+    def recording(lattice, values, queries, r, *, more=()):
+        read = [values, *(vals for _, vals in more)]
+        calls.append([next(s for s, level in enumerate(window) if np.shares_memory(v, level.yz))
+                      for v in read])
+        return interpolate(lattice, values, queries, r, more=more)
+
+    monkeypatch.setattr(stepper, "interpolate_values", recording)
+    conditional_expectations(*args)
+    assert calls == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_expectations_results_do_not_alias_the_workspace():
@@ -1030,8 +1058,9 @@ def test_solver_is_deterministic():
 def test_interpolation_block_size_never_changes_a_solve(monkeypatch):
     """A 2-D solve is bit-identical with far smaller interpolation blocks.
 
-    97 queries per block instead of about 720 splits every span read into
-    many blocks, the last one ragged.
+    510 queries per block instead of 3,799 cut each level's 968 queries of
+    the first step into two blocks, the second one ragged, and the smaller
+    budget splits that step's six spans into two quadrature groups.
     """
     problem = get_problem("example3")
     cfg = SolverConfig(k=3, n_steps=7)
