@@ -143,12 +143,12 @@ def fit_convergence_rate(n_steps, errors) -> float:
 
     Example: errors 1e-3 at 16 steps and 1.25e-4 at 32 steps give exactly
     3.0; equal errors give 0.0.  With fewer than two distinct n_steps, or
-    any non-positive error, the fit is undefined and NaN is returned (report
-    assembly converts undefined rates to ``None`` instead).
+    any n_steps or error not finite and positive, the fit is undefined and
+    NaN is returned (report assembly converts undefined rates to ``None``).
     """
     n = np.asarray(list(n_steps), dtype=float)
     e = np.asarray(list(errors), dtype=float)
-    if np.unique(n).size < 2 or np.any(~np.isfinite(e)) or np.any(e <= 0.0):
+    if np.unique(n).size < 2 or not all(np.all(np.isfinite(v) & (v > 0.0)) for v in (n, e)):
         return float("nan")
     slope = np.polyfit(np.log(1.0 / n), np.log(e), 1)[0]
     return float(slope)
@@ -229,11 +229,14 @@ def run_experiment(
 
     A cell that would start after ``budget_seconds`` of elapsed wall time is
     marked "skipped" instead of run (the gate is checked as each cell starts,
-    so an expensive tail of a sweep is shed without killing work in flight).
-    The report lists cells in sorted (k, n_steps) order, so output is
-    deterministic up to wall times.  Schemes whose stability check fails are
-    still run, with a warning.
+    so an expensive tail of a sweep is shed without killing work in flight);
+    a negative or non-finite budget raises ValueError.  The report lists
+    cells in sorted (k, n_steps) order, so output is deterministic up to
+    wall times.  Schemes whose stability check fails are still run, with a
+    warning.
     """
+    if budget_seconds is not None and not (math.isfinite(budget_seconds) and budget_seconds >= 0):
+        raise ValueError(f"budget_seconds must be finite and >= 0, got {budget_seconds}")
     problem = get_problem(spec.problem)
     for k in sorted(spec.ks):
         if not stability_report(k, spec.m_comb).is_stable:

@@ -159,7 +159,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     try:
         report = run_experiment(spec, budget_seconds=args.budget_seconds)
-    except KeyError as exc:  # unknown problem key
+    except (KeyError, ValueError) as exc:  # unknown problem key, bad budget
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
     _write(emit_report(report, fmt), args.out)

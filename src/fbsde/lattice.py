@@ -45,11 +45,11 @@ hull check and one-sided stencils.  A one-level call is the group of one.
 Many small reads then cost one call's fixed overhead instead of one each,
 and every result is the one a call per level would give, to the bit.
 
-The kernel's block-sized arrays (node index, stencil weights, gathered
-values, partial sums, run columns and repeated weights) live in a per-thread
-workspace that is kept between calls, so a solve does not allocate, and have
-the kernel zero-fill, the same pages again for every block.  The shifted
-table, r+1 times the levels' values, is built per call.
+The kernel's block-sized arrays (index coordinates, node index, stencil
+weights, gathered values, partial sums, run columns and repeated weights)
+live in a per-thread workspace that is kept between calls, so a solve does
+not allocate, and have the kernel zero-fill, the same pages again for every
+block.  The shifted table, r+1 times the levels' values, is built per call.
 """
 
 from __future__ import annotations
@@ -63,12 +63,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .hermite import _integer
+
 MAX_NODES = 100_000_000
 
 #: Bytes of the buffers that one block of queries in `interpolate_values`
 #: holds; memory stays flat however many queries come.
 #: `fbsde.stepper.conditional_expectations` reads its spans in groups that
-#: fit the same budget, terms, values, points and index coordinates counted.
+#: fit the same budget, their terms, values read and points counted.
 #: Both take their buffers from `_scratch`, which keeps one block's worth per
 #: thread at the largest budget used so far.
 _BLOCK_BYTES = 2 * 2**20
@@ -333,20 +335,20 @@ def _block_rows(r: int, dim: int, width: int) -> int:
     """Queries per block of `interpolate_values` (one at least), such that
     the block's buffers fill at most ``_BLOCK_BYTES``.
 
-    In 1-D a query takes (r+1)·(width + 1) words: its gathered values and
-    weights (its one index word is left out, so 1-D blocks keep the size
-    they had when the index took r+1 words and shared the weights' buffer).
-    From 2-D on it takes its partial sum and one axis-0 offset's gathered
-    values, width·(r+1)^(dim−1) words each, the partial sums of axes
-    1..dim−2, its dim·(r+1) weights, (r+1)^(dim−2) node indices and, with
-    more than one value per node, one row of repeated weights: 69 words in
-    2-D at r = 10 and width 2, where a full gather took 363.  That counts
-    every query as a run of one (`_runs`).  A run of several is weighted
-    over no more slots than it has queries, and what it adds fits in space
-    that its slots leave free: its columns, at most r+1 per slot, go into
-    the buffer of the gathered values, their source rows into that of the
-    leading axes' weights, and each query's r+1 gathered partial sums into
-    that of the partial sums.
+    A query takes its dim index coordinates and, in 1-D, (r+1)·(width + 1)
+    words: its gathered values and weights (its one index word is left out,
+    as it was when it shared the weights' buffer).  From 2-D on it takes its
+    partial sum and one axis-0 offset's gathered values, width·(r+1)^(dim−1)
+    words each, the partial sums of axes 1..dim−2, its dim·(r+1) weights,
+    (r+1)^(dim−2) node indices and, with more than one value per node, one
+    row of repeated weights: 69 words and 2 coordinates in 2-D at r = 10 and
+    width 2, where a full gather took 363 words.  That counts every query as
+    a run of one (`_runs`).  A run of several is weighted over no more slots
+    than it has queries, and what it adds fits in space that its slots leave
+    free: its columns, at most r+1 per slot, go into the buffer of the
+    gathered values, their source rows into that of the leading axes'
+    weights, and each query's r+1 gathered partial sums into that of the
+    partial sums.
     """
     if dim == 1:
         words = (r + 1) * (width + 1)
@@ -358,7 +360,7 @@ def _block_rows(r: int, dim: int, width: int) -> int:
             + (r + 1) ** (dim - 2)
             + (width if width > 1 else 0)
         )
-    return max(1, _BLOCK_BYTES // (words * 8))
+    return max(1, _BLOCK_BYTES // ((dim + words) * 8))
 
 
 def _runs(
@@ -508,11 +510,12 @@ def interpolate_values(
     cost less, and no order changes a result.  The values are staged once
     per call in a shifted table, (r+1, nodes of all levels, values per
     node), r+1 times their size, whose row o holds each node's o-th
-    neighbour along the last axis.  A block's node index, weights, gathered
-    values, partial sums and run columns are written into this thread's
-    `_scratch` buffers, reused from call to call, so a repeated call of the
-    same size allocates nothing block-sized; the result is always a fresh
-    array.
+    neighbour along the last axis.  Each block converts its own queries
+    into index coordinates and checks them against their levels' hulls
+    before it reads; those coordinates, its node index, weights, gathered
+    values, partial sums and run columns go into this thread's `_scratch`
+    buffers, reused from call to call, so a repeated call of the same size
+    allocates nothing block-sized; the result is always a fresh array.
 
     Parameters
     ----------
@@ -522,8 +525,10 @@ def interpolate_values(
         (levels, Q, dim) with one row per level of the call; a query more
         than ``NODE_SNAP_TOL`` nodes beyond its level's hull, or a NaN one,
         raises OutOfDomain naming the axis, the overhang in nodes and the
-        hull, with ``level`` the index of that level in the call.  Near the
-        hull the stencil is one-sided over stored nodes.
+        hull of the worst query in its level's first failing block, with
+        ``level`` the index of that level in the call.  Near the hull the
+        stencil is one-sided over stored nodes.
+    r : integer degree ≥ 0; a bool or other non-integer raises TypeError
     more : further (lattice, values) levels, as ``lattice`` and ``values``
 
     Returns
@@ -532,6 +537,7 @@ def interpolate_values(
     dtype the kernel computes in: ``np.result_type`` of the levels' dtypes
     and float64.
     """
+    r = _integer("r", r)
     if r < 0:
         raise ValueError(f"interpolation degree must be >= 0, got {r}")
     levels = [(lattice, values), *more]
@@ -543,9 +549,7 @@ def interpolate_values(
         ):
             raise ValueError("the levels of one call must share origin, h and dim")
         if min(lat.shape) < r + 1:
-            raise TooFewNodes(
-                f"lattice shape {lat.shape} cannot host a degree-{r} stencil"
-            )
+            raise TooFewNodes(f"lattice shape {lat.shape} cannot host a degree-{r} stencil")
         if vals.shape[:dim] != lat.shape:
             raise ValueError(
                 f"values of shape {vals.shape} do not match lattice shape {lat.shape}"
@@ -561,35 +565,10 @@ def interpolate_values(
     ):
         raise ValueError(f"queries must be ({g}, Q, {dim}), got {queries.shape}")
 
-    # Queries in index coordinates, axis-major, (levels, dim, Q): each
-    # axis's coordinates of a level are one contiguous row.
     queries = queries.reshape(g, -1, dim)
     q = queries.shape[1]
-    u_all = np.subtract(
-        queries.transpose(0, 2, 1), lattice.origin[:, None], out=np.empty((g, dim, q))
-    )
-    u_all /= lattice.h
     bounds = np.array([lat.lo.tolist() + lat.hi.tolist() for lat, _ in levels])
     lo, hi = bounds[:, :dim], bounds[:, dim:]  # (levels, dim) each
-    if q:
-        # Rounding is monotone, so lo − min u is the largest lo − u: the
-        # per-axis extremes decide the hull test exactly as every query's
-        # overhang would.  NaN queries fail here too.
-        inside = np.maximum(lo - u_all.min(axis=2), u_all.max(axis=2) - hi) <= NODE_SNAP_TOL
-        if not inside.all():
-            bad = int(np.argmin(inside.all(axis=1)))
-            u = u_all[bad].T
-            overhang = np.maximum(lo[bad] - u, u - hi[bad])
-            q_bad, ax_bad = np.unravel_index(np.argmax(overhang), overhang.shape)
-            low, high = levels[bad][0].bounds
-            err = OutOfDomain(
-                f"query {queries[bad, q_bad]} lies "
-                f"{overhang[q_bad, ax_bad]:.3g} node(s) beyond the lattice hull "
-                f"on axis {ax_bad} (hull {low} .. {high})"
-                + (f" (level {bad} of the call)" if more else "")
-            )
-            err.level = bad
-            raise err
 
     # Gather from a shifted table of all levels' values laid end to end:
     # shifted[o, s] holds the values of node s + o of the flat row-major
@@ -600,10 +579,11 @@ def interpolate_values(
     # inside their own level.  The index is Σ_ax start_ax·stride_ax plus the
     # offsets of axes 1..dim−2 and the level's corner, its first node less
     # Σ_ax lo_ax·stride_ax; the offsets' part and the corner form a fixed
-    # table, shape (r+1,)*(dim−2) + (levels,).  The hull test has passed and
-    # the starts are clamped into [lo, hi − r] of their own level, so every
-    # index is in range and the take may skip its own check (mode="clip"),
-    # which also lets it write into the buffer without a copy.
+    # table, shape (r+1,)*(dim−2) + (levels,).  A block reads only once its
+    # hull test has passed, and the starts are clamped into [lo, hi − r] of
+    # their own level, so every index is in range and the take may skip its
+    # own check (mode="clip"), which also lets it write into the buffer
+    # without a copy.
     #
     # In 1-D one take gathers the block, (r+1, q, values), each level's lo,
     # hi and corner broadcasting as a (levels, 1) column.  From 2-D on,
@@ -632,16 +612,34 @@ def interpolate_values(
     table = ((strides[:, 1:-1] @ _stencil_grid(r, len(lead))).T + corners).reshape(lead + (g,))
     out = np.empty((g * q, width), dtype=dtype)
     rows = _block_rows(r, dim, width)
-    if not q:
-        blocks = []
-    elif q <= rows:
-        step = rows // q
-        blocks = [(ell, min(ell + step, g), 0, q) for ell in range(0, g, step)]
-    else:
-        blocks = [(ell, ell + 1, b, min(b + rows, q)) for ell in range(g) for b in range(0, q, rows)]
+    step = max(1, rows // max(q, 1))  # whole levels when one level fits
+    blocks = [(ell, min(ell + step, g), b, min(b + rows, q))
+              for ell in range(0, g, step) for b in range(0, q, rows)]
     for l0, l1, b0, b1 in blocks:
-        u = u_all[l0:l1, :, b0:b1]
+        # The block's queries in index coordinates, axis-major, (levels, dim,
+        # queries): each axis's coordinates of a level are one contiguous row.
         n = (l1 - l0) * (b1 - b0)
+        u = _scratch("u", (l1 - l0, dim, b1 - b0), float)
+        np.subtract(queries[l0:l1, b0:b1].transpose(0, 2, 1), lattice.origin[:, None], out=u)
+        u /= lattice.h
+        # Rounding is monotone, so lo − min u is the largest lo − u: the
+        # per-axis extremes decide the hull test exactly as every query's
+        # overhang would.  NaN queries fail here too.
+        inside = np.maximum(lo[l0:l1] - u.min(axis=2), u.max(axis=2) - hi[l0:l1]) <= NODE_SNAP_TOL
+        if not inside.all():
+            ell = l0 + int(np.argmin(inside.all(axis=1)))
+            v = u[ell - l0].T
+            overhang = np.maximum(lo[ell] - v, v - hi[ell])
+            q_bad, ax_bad = np.unravel_index(np.argmax(overhang), overhang.shape)
+            low, high = levels[ell][0].bounds
+            err = OutOfDomain(
+                f"query {queries[ell, b0 + q_bad]} lies "
+                f"{overhang[q_bad, ax_bad]:.3g} node(s) beyond the lattice hull "
+                f"on axis {ax_bad} (hull {low} .. {high})"
+                + (f" (level {ell} of the call)" if more else "")
+            )
+            err.level = ell
+            raise err
         last = _stencil_starts(u[:, -1], r, lo[l0:l1, -1, None], hi[l0:l1, -1, None])
         weights = _stencil_weights(
             (u[:, -1] - last).reshape(n), r, out=_scratch("weights", (r + 1, n), float)

@@ -243,7 +243,8 @@ def euler_points(
         raise ValueError(f"span j must be >= 1, got {j}")
     dw = np.sqrt(2.0 * j * dt)[..., None, None] * q
     drifted = x + a_val * (j * dt)[..., None, None]
-    nodes = drifted[..., None, :, :] + np.einsum("pnd,...qd->...qpn", b_val, dw)
+    nodes = np.einsum("pnd,...qd->...qpn", b_val, dw)
+    nodes += drifted[..., None, :, :]
     return nodes, dw
 
 
@@ -260,23 +261,21 @@ def conditional_expectations(
     """(E[Y^{n+j}], E[Y^{n+j} ΔWᵀ]) for j = 1..len(window), batched over x.
 
     ``window[j-1]`` holds sealed level n+j, whose Y (slot 0 of its (Y, Z)
-    array) is interpolated on its own lattice.  The forward coefficients
-    are frozen at (t_n, x) and the iterate ``yz`` and evaluated once for all
+    array) is interpolated on its own lattice.  The forward coefficients are
+    frozen at (t_n, x) and the iterate ``yz`` and evaluated once for all
     spans.  The spans go in groups that fit ``lattice._BLOCK_BYTES`` (one
-    span at least), a span taking Q·P·(m·(2+d) + 2n)·8 B: its terms, the Y
-    values read, its Euler points and the kernel's index coordinates of
-    them.  A group gets its points from one :func:`euler_points` call, is
-    read in one :func:`~fbsde.lattice.interpolate_values` call, each span on
-    its own level, and the kernel alone cuts the queries into blocks.  The
-    values read at the quadrature nodes serve both moments, whose terms are
-    laid out quadrature index outermost, (Q, spans, P, m, 1+d), and summed
-    by one compensated :func:`~fbsde.hermite.kahan_sum` per group in fixed q
-    order.  A span's points reach the kernel ordered (quadrature point,
-    window node), the window's last axis innermost, so where a and b read
-    only their own axis they come in runs of one window row, which the
-    kernel weights on the leading axes once per run.  The terms buffer is
-    this thread's ``lattice._scratch`` buffer, reused from call to call; the
-    returned moments are a fresh array.  Each sum and each read is
+    span at least), a span taking Q·P·(m·(2+d) + n)·8 B: its terms, the Y
+    values read and its Euler points.  A group gets its points from one
+    :func:`euler_points` call and is read in one
+    :func:`~fbsde.lattice.interpolate_values` call, each span on its own
+    level.  The values read serve both moments, whose terms are laid out
+    quadrature index outermost, (Q, spans, P, m, 1+d), and summed by one
+    compensated :func:`~fbsde.hermite.kahan_sum` per group in fixed q order.
+    A span's points are ordered (quadrature point, window node), the
+    window's last axis innermost, so where a and b read only their own axis
+    they come in runs of one window row, which the kernel shares.  The terms
+    buffer is this thread's ``lattice._scratch`` buffer, reused from call to
+    call; the returned moments are a fresh array.  Each sum and each read is
     elementwise, so the grouping never changes a bit.  A quadrature point
     outside the lattice of the level it reads raises
     :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the level's t,
@@ -299,7 +298,7 @@ def conditional_expectations(
     b_val = np.asarray(problem.b(t_n, x, yz[..., 0], yz[..., 1:]), float)
     q, w = rule.points()
     Q, d = q.shape
-    group = max(1, _lattice._BLOCK_BYTES // (Q * P * (m * (2 + d) + 2 * n) * 8))
+    group = max(1, _lattice._BLOCK_BYTES // (Q * P * (m * (2 + d) + n) * 8))
     moments = np.empty((len(window), P, m, 1 + d))
     for first in range(0, len(window), group):
         levels = window[first : first + group]

@@ -42,6 +42,14 @@ def test_fit_convergence_rate_known_values():
     assert math.isnan(fit_convergence_rate([16, 32], [1e-3, -1e-4]))
 
 
+@pytest.mark.parametrize("bad", [0, -16, float("nan")])
+def test_fit_convergence_rate_is_nan_for_a_step_count_without_a_log(capfd, bad):
+    """ln(1/n_steps) is undefined at a zero, negative or NaN step count: the
+    fit is NaN, and LAPACK is never called to complain on stderr."""
+    assert math.isnan(fit_convergence_rate([bad, 16, 32], [1e-2, 1e-3, 1.25e-4]))
+    assert capfd.readouterr().err == ""
+
+
 def test_fit_convergence_rate_least_squares_over_three_points():
     ns = [16, 24, 32]
     errs = [100.0 * n ** (-2.5) for n in ns]
@@ -176,6 +184,13 @@ def test_budget_gate_skips_cells():
     assert all(c.message == "budget exhausted" for c in rep.cells)
     assert rep.rates == {}
     report_from_json(report_to_json(rep))  # still serializable
+
+
+@pytest.mark.parametrize("budget", [-1.0, float("nan"), float("inf")])
+def test_budget_must_be_finite_and_non_negative(budget):
+    spec = ExperimentSpec(problem="example1", ks=(3,), n_steps=(8,))
+    with pytest.raises(ValueError, match="budget_seconds"):
+        run_experiment(spec, budget_seconds=budget)
 
 
 def test_unstable_scheme_warns_and_cell_fails():

@@ -238,6 +238,16 @@ def test_run_budget_skip_is_success(capsys):
     assert all(c["status"] == "skipped" for c in payload["cells"])
 
 
+@pytest.mark.parametrize("budget", ["-1", "nan"])
+def test_run_rejects_a_nonsense_budget(capsys, budget):
+    code, out, err = run_cli(
+        capsys, "run", "--problem", "example1", "--k", "3", "--nt", "8",
+        "--budget-seconds", budget,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: budget_seconds") and len(err.splitlines()) == 1
+
+
 def test_run_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({

@@ -483,6 +483,31 @@ def test_repeated_interpolation_allocates_nothing_block_sized():
         assert peak < 11**2 * rows * 8, kind
 
 
+def test_repeated_interpolation_makes_no_copy_of_its_queries(monkeypatch):
+    """Each block converts its own queries into index coordinates, so a
+    repeated call allocates no (levels, dim, Q) copy of them.
+
+    Blocks of 500 of the 50,000 2-D queries keep the block buffers small.
+    What a call allocates afresh is then its result, 400 kB, the shifted
+    table, 5 × 1,681 nodes × 8 B ≈ 67 kB, and arrays of one block's size,
+    which stays below half the queries' 800 kB.
+    """
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", _budget_for(500, 4, 2, 1))
+    rng = np.random.default_rng(2)
+    lat = build_lattice([0.0, 0.0], 0.05, 1.0, r=4)
+    values = rng.uniform(-1, 1, size=lat.shape)
+    queries = rng.uniform(-0.9, 0.9, size=(50_000, 2))
+    first = interpolate_values(lat, values, queries, 4)
+    tracemalloc.start()
+    try:
+        second = interpolate_values(lat, values, queries, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, second)
+    assert peak < second.nbytes + queries.nbytes // 2
+
+
 def test_results_do_not_alias_the_workspace():
     """A result stays as it was after later calls on other inputs and sizes."""
     rng = np.random.default_rng(8)
@@ -591,6 +616,10 @@ def test_interpolate_values_validation():
     values = np.zeros(lat.shape + (1,))
     with pytest.raises(ValueError):
         interpolate_values(lat, values, np.array([[0.0]]), r=-1)
+    for bad in (True, 2.5):
+        with pytest.raises(TypeError, match="r must be an integer"):
+            interpolate_values(lat, values, np.array([[0.0]]), r=bad)
+    assert interpolate_values(lat, values, np.array([[0.3]]), r=np.int64(2)).shape == (1, 1)
     with pytest.raises(TooFewNodes):
         interpolate_values(lat, values, np.array([[0.0]]), r=7)
     with pytest.raises(ValueError):
@@ -722,3 +751,25 @@ def test_grouped_call_names_the_level_off_its_hull():
     with pytest.raises(OutOfDomain) as err:
         interpolate_values(other, other_values, queries[1], 4)
     assert err.value.level == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("over", [0.5, np.nan], ids=["overhang", "nan"])
+def test_each_block_checks_its_own_hull(monkeypatch, dim, over):
+    """With blocks of 30 queries, each level's 97 queries span four blocks,
+    and each block checks its queries before it reads.  A query of level 1
+    past that level's hull in its second block, or a NaN one, raises
+    OutOfDomain naming level 1, the last axis and the overhang; a worse
+    query in a later block of the level is not reached."""
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", _budget_for(30, 4, dim, 3))
+    levels, queries = _grouped_inputs(dim, [8, 11])
+    (lat, values), (other, other_values) = levels
+    high = other.bounds[1][-1]
+    queries[1, 40, -1] = high + over * lat.h
+    queries[1, 70, -1] = high + 2.0 * lat.h
+    with pytest.raises(OutOfDomain) as err:
+        interpolate_values(lat, values, queries, 4, more=[(other, other_values)])
+    assert err.value.level == 1
+    message = str(err.value)
+    assert f"query {queries[1, 40]} lies {over:.3g} node(s) beyond" in message
+    assert f"on axis {dim - 1}" in message and "(level 1 of the call)" in message

@@ -86,14 +86,14 @@ def test_interp_counters_match_the_quadrature_groups(monkeypatch, name, cfg):
     """One kernel call reads a whole quadrature group of a pass, so
     ``lattice.interp_calls`` counts the passes' groups and
     ``lattice.interp_queries`` every span's Q·P Euler points.  These are the
-    ``scalar-k9`` and ``system-2d`` settings, whose first passes make two
-    groups."""
+    ``scalar-k9`` and ``system-2d`` settings; the first pass makes two groups
+    at ``scalar-k9`` and one at ``system-2d``."""
     groups, queries = [], []
     expectations = stepper.conditional_expectations
 
     def recording(window, x, t_n, dt, problem, yz, rule, r):
         P, m, width = yz.shape
-        span = rule.npoints * P * (m * (1 + width) + 2 * x.shape[1]) * 8
+        span = rule.npoints * P * (m * (1 + width) + x.shape[1]) * 8
         group = max(1, fbsde.lattice._BLOCK_BYTES // span)
         groups.append(-(-len(window) // group))
         queries.append(len(window) * rule.npoints * P)

@@ -295,11 +295,11 @@ def _terms_bytes(args):
 
 
 def _span_bytes(args):
-    """Bytes of the block budget one span takes, Q·P·(m·(2+d) + 2n)·8: its
-    terms, the Y values read, its Euler points and their index coordinates."""
+    """Bytes of the block budget one span takes, Q·P·(m·(2+d) + n)·8: its
+    terms, the Y values read and its Euler points."""
     x, yz, rule = args[1], args[5], args[6]
     P, m, width = yz.shape
-    return rule.npoints * P * (m * (1 + width) + 2 * x.shape[1]) * 8
+    return rule.npoints * P * (m * (1 + width) + x.shape[1]) * 8
 
 
 @pytest.mark.parametrize(
@@ -373,8 +373,8 @@ def test_expectations_memory_is_bounded_by_the_block_budget(monkeypatch):
 
     The first example3 window at n_steps=12 reads 6 levels from 625 nodes:
     8 × 625 × 2 × 2 × 8 B = 0.16 MB of quadrature terms per span, and
-    8 × 625 × (2 × 3 + 2 × 2) × 8 B = 0.4 MB of the block budget with the
-    Y values read, the Euler points and their index coordinates.  With the
+    8 × 625 × (2 × 3 + 2) × 8 B = 0.32 MB of the block budget with the
+    Y values read and the Euler points.  With the
     budget at one span, all six spans' terms at once would take six times
     the terms.
     """
@@ -389,9 +389,9 @@ def test_expectations_memory_is_bounded_by_the_block_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert out.shape == (6, x.shape[0], 2, 2)
-    # One group's terms, one interpolation block (gather and indices), a
-    # span's quadrature points and the few arrays of their size that the
-    # predictor and the hull test make, and the outputs.
+    # One group's terms, one interpolation block (coordinates, gather and
+    # indices), a span's quadrature points and the few arrays of their size
+    # that the predictor makes, and the outputs.
     points = rule.npoints * x.nbytes
     outputs = len(window) * span // rule.npoints
     assert peak < 2.5 * span + 8 * points + outputs
@@ -417,11 +417,11 @@ def test_repeated_expectations_allocate_nothing_block_sized():
 
     Each span's terms take 24 × 200 × 4 × 2 × 8 B = 307,200 B, and the
     block budget, 2 MiB, holds six spans' terms (1.84 MB).  One
-    interpolation block gathers 1.68 MB.  A span takes
-    24 × 200 × (4 × 3 + 2) × 8 B = 537,600 B of that budget with its values
-    read, points and index coordinates, so a group holds three spans.  The
-    arrays a call makes afresh (a group's points, hull test and values read,
-    the sums and the moments) stay below both.
+    interpolation block gathers 1.65 MB, below the 1.68 MB bound.  A span
+    takes 24 × 200 × (4 × 3 + 1) × 8 B = 499,200 B of that budget with its
+    values read and points, so a group holds four spans.  The arrays a call
+    makes afresh (a group's points and values read, the sums and the
+    moments) stay below both.
     """
     args = _many_component_expectations_args()
     first = conditional_expectations(*args)
@@ -442,9 +442,9 @@ def test_repeated_expectations_allocate_nothing_block_sized():
 def test_each_quadrature_group_is_read_in_one_kernel_call(monkeypatch):
     """conditional_expectations reads all the levels of a quadrature group
     in one interpolate_values call and leaves cutting its queries into
-    blocks to the kernel.  A span takes 537,600 B of the 2 MiB budget, so
-    six spans make two groups of three, though one kernel block holds only
-    4,766 of a group's 14,400 queries."""
+    blocks to the kernel.  A span takes 499,200 B of the 2 MiB budget, so
+    six spans make a group of four and one of two, though one kernel block
+    holds only 4,681 of the first group's 19,200 queries."""
     args = _many_component_expectations_args()
     window, interpolate = args[0], stepper.interpolate_values
     calls = []
@@ -457,7 +457,7 @@ def test_each_quadrature_group_is_read_in_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(stepper, "interpolate_values", recording)
     conditional_expectations(*args)
-    assert calls == [[0, 1, 2], [3, 4, 5]]
+    assert calls == [[0, 1, 2, 3], [4, 5]]
 
 
 def test_expectations_results_do_not_alias_the_workspace():
@@ -1058,7 +1058,7 @@ def test_solver_is_deterministic():
 def test_interpolation_block_size_never_changes_a_solve(monkeypatch):
     """A 2-D solve is bit-identical with far smaller interpolation blocks.
 
-    510 queries per block instead of 3,799 cut each level's 968 queries of
+    495 queries per block instead of 3,692 cut each level's 968 queries of
     the first step into two blocks, the second one ragged, and the smaller
     budget splits that step's six spans into two quadrature groups.
     """
