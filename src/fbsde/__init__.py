@@ -10,15 +10,12 @@ The package is organized bottom-up:
 * :mod:`fbsde.stepper` — the backward multi-step solver
 * :mod:`fbsde.bench` — convergence sweeps, rate fitting, report emission
 * :mod:`fbsde.cli` — the ``fbsde-bench`` command-line tool
+
+The names of :mod:`fbsde.bench` and :mod:`fbsde.stability` load on first use.
 """
 
-from .bench import (
-    ExperimentSpec,
-    Report,
-    emit_report,
-    fit_convergence_rate,
-    run_experiment,
-)
+import importlib
+
 from .fdweights import SingularSystem, WeightSet, solve_weights, weights_as_float
 from .hermite import gauss_hermite, gauss_hermite_tensor, gaussian_expectation
 from .lattice import (
@@ -39,7 +36,6 @@ from .problems import (
     terminal_gap,
     z_consistency_gap,
 )
-from .stability import StabilityReport, characteristic_polynomial, stability_report
 from .stepper import (
     MissingAnalytic,
     NonFiniteValue,
@@ -51,6 +47,35 @@ from .stepper import (
 )
 
 __version__ = "0.1.0"
+
+#: Names of :mod:`fbsde.bench` and :mod:`fbsde.stability`, which load on
+#: first use (PEP 562), so that a process that only solves never imports
+#: them.
+_LAZY = {
+    "ExperimentSpec": "bench",
+    "Report": "bench",
+    "emit_report": "bench",
+    "fit_convergence_rate": "bench",
+    "run_experiment": "bench",
+    "StabilityReport": "stability",
+    "characteristic_polynomial": "stability",
+    "stability_report": "stability",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    elif name in ("bench", "stability"):
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "ExperimentSpec",

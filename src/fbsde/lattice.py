@@ -70,9 +70,11 @@ MAX_NODES = 100_000_000
 #: Bytes of the buffers that one block of queries in `interpolate_values`
 #: holds; memory stays flat however many queries come.
 #: `fbsde.stepper.conditional_expectations` reads its spans in groups that
-#: fit the same budget, their terms, values read and points counted.
-#: Both take their buffers from `_scratch`, which keeps one block's worth per
-#: thread at the largest budget used so far.
+#: fit the same budget, their terms, values read and points counted.  Both
+#: take their buffers from `_scratch`, and a buffer is shared only by phases
+#: that are never live together: a group's terms are formed in the kernel's
+#: ``_TERMS_ROLE`` buffer once its read has returned.  A thread so keeps about
+#: one budget of buffers, at the largest budget used so far.
 _BLOCK_BYTES = 2 * 2**20
 
 #: Queries within this fraction of h of a node snap to the stored value, and
@@ -161,6 +163,8 @@ class Lattice:
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape `self.shape + (dim,)` in row-major order."""
+        if self.dim == 1:
+            return self.axis_coords(0)[:, None]
         grids = np.meshgrid(*[self.axis_coords(ax) for ax in range(self.dim)], indexing="ij")
         return np.stack(grids, axis=-1)
 
@@ -218,15 +222,29 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
+#: The role whose buffer `fbsde.stepper.conditional_expectations` forms a
+#: quadrature group's terms in: the kernel's gathered values, one of its
+#: largest buffers, which no one reads once `interpolate_values` has
+#: returned.
+_TERMS_ROLE = "block"
+
+
 def _scratch(role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     """A C-contiguous (shape, dtype) view of this thread's buffer for ``role``.
 
-    Each buffer is kept between calls and only grows, so a hot loop that asks
-    for the same sizes again allocates nothing.  Callers ask for at most one
-    block's worth per role, so the workspace holds at most one block's
-    buffers at the largest ``_BLOCK_BYTES`` in use.  The view's contents are
-    undefined, and the next request for ``role`` on this thread overwrites
-    them, so no result that outlives a call may be a view of it.
+    The roles are named in this module.  A block of `interpolate_values`
+    takes ``u`` (its queries in index coordinates), ``weights`` (last-axis
+    stencil weights), ``node`` (node index) and ``block`` (gathered values
+    and partial sums), and from 2-D on ``lead``, ``run``, ``row`` and
+    ``sums1``.. in `_run_partials`; a quadrature pass takes ``_TERMS_ROLE``
+    for its terms once the kernel has returned.  A buffer is shared only by
+    phases that are never live together.  Each buffer is kept between calls
+    and only grows, so a hot loop that asks for the same sizes again
+    allocates nothing.  Callers ask for at most one block's worth per role,
+    so the workspace holds about one block's buffers at the largest
+    ``_BLOCK_BYTES`` in use.  The view's contents are undefined, and the
+    next request for ``role`` on this thread overwrites them, so no result
+    that outlives a call may be a view of it.
     """
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
@@ -595,18 +613,20 @@ def interpolate_values(
     width = math.prod(rest)
     dtype = np.result_type(*(vals.dtype for _, vals in levels), np.float64)
     total = sum(lat.num_nodes for lat, _ in levels)
-    shifted = np.empty((r + 1, total, width), dtype=dtype)
+    padded = np.empty((total + r, width), dtype=dtype)
     strides, corners, first = [], [], 0
     for (lat, vals), low in zip(levels, lo.tolist()):
         stride = [math.prod(lat.shape[ax + 1 :]) for ax in range(dim)]
         strides.append(stride)
         corners.append(first - sum(map(operator.mul, low, stride)))
         size = lat.num_nodes
-        shifted[0, first : first + size] = vals.reshape(size, width)
+        padded[first : first + size] = vals.reshape(size, width)
         first += size
-    for o in range(1, r + 1):
-        shifted[o, : total - o] = shifted[0, o:]
-        shifted[o, total - o :] = 0
+    padded[total:] = 0
+    # Row o is ``padded`` from node o on: one strided copy fills every row.
+    shifted = np.lib.stride_tricks.as_strided(
+        padded, (r + 1, total, width), padded.strides[:1] + padded.strides, writeable=False
+    ).copy()
     strides = np.array(strides)
     lead = (r + 1,) * max(dim - 2, 0)
     table = ((strides[:, 1:-1] @ _stencil_grid(r, len(lead))).T + corners).reshape(lead + (g,))

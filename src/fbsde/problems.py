@@ -59,12 +59,8 @@ class FbsdeProblem:
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
     """Numerically stable e^u/(1+e^u), exact limits 0/1 at the tails."""
-    out = np.empty_like(u, dtype=float)
-    pos = u >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def example1() -> FbsdeProblem:

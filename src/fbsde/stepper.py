@@ -274,8 +274,11 @@ def conditional_expectations(
     A span's points are ordered (quadrature point, window node), the
     window's last axis innermost, so where a and b read only their own axis
     they come in runs of one window row, which the kernel shares.  The terms
-    buffer is this thread's ``lattice._scratch`` buffer, reused from call to
-    call; the returned moments are a fresh array.  Each sum and each read is
+    are formed in the kernel's own workspace buffer (``lattice._TERMS_ROLE``)
+    once the group's read has returned, since the two are never live
+    together, so a pass keeps one block budget of buffers beside its points,
+    the values read and the kernel's shifted table; nothing returned is a
+    view of it, and the moments are a fresh array.  Each sum and each read is
     elementwise, so the grouping never changes a bit.  A quadrature point
     outside the lattice of the level it reads raises
     :class:`~fbsde.lattice.OutOfDomain` naming t_n, the span, the level's t,
@@ -315,8 +318,9 @@ def conditional_expectations(
                 f"query cone too small at t = {t_n:.6g}, span j={j[err.level]}, "
                 f"reading level t = {levels[err.level].t:.6g}: {err}"
             ) from err
-        # Values come level-major; the terms take them quadrature-major.
-        terms = _lattice._scratch("terms", (Q, G, P, m, 1 + d), float)
+        # Values come level-major; the terms take them quadrature-major, in
+        # the kernel's buffer, which the read no longer uses.
+        terms = _lattice._scratch(_lattice._TERMS_ROLE, (Q, G, P, m, 1 + d), float)
         vals = vals.reshape(G, Q, P, m).swapaxes(0, 1)
         weighted = np.multiply(vals, w[:, None, None, None], out=terms[..., 0])
         np.multiply(weighted[..., None], dw.swapaxes(0, 1)[:, :, None, None, :], out=terms[..., 1:])
@@ -618,7 +622,8 @@ def _cone(
         j_dt = np.arange(1, len(reads) + 1)[:, None, None] * dt  # a row per span j
         centre = (X + a_val * j_dt - origin) / h
         spread = b_sum * (np.sqrt(2.0 * j_dt) * q_max / h)
-        spread += slack * (spread + np.abs(a_val) * (j_dt / h))
+        if slack:
+            spread += slack * (spread + np.abs(a_val) * (j_dt / h))
         read = list(reads)
         need_lo[read] = np.minimum(need_lo[read], np.min(centre - spread, axis=1))
         need_hi[read] = np.maximum(need_hi[read], np.max(centre + spread, axis=1))
