@@ -49,7 +49,8 @@ The kernel's block-sized arrays (index coordinates, node index, stencil
 weights, gathered values, partial sums, run columns and repeated weights)
 live in a per-thread workspace that is kept between calls, so a solve does
 not allocate, and have the kernel zero-fill, the same pages again for every
-block.  The shifted table, r+1 times the levels' values, is built per call.
+block; a quadrature pass forms its terms in one of them once the kernel has
+returned.  The shifted table, r+1 times the levels' values, is built per call.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def _scratch(role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     takes ``u`` (its queries in index coordinates), ``weights`` (last-axis
     stencil weights), ``node`` (node index) and ``block`` (gathered values
     and partial sums), and from 2-D on ``lead``, ``run``, ``row`` and
-    ``sums1``.. in `_run_partials`; a quadrature pass takes ``_TERMS_ROLE``
+    ``sums1``, ``sums2``, … in `_run_partials`; a quadrature pass takes ``_TERMS_ROLE``
     for its terms once the kernel has returned.  A buffer is shared only by
     phases that are never live together.  Each buffer is kept between calls
     and only grows, so a hot loop that asks for the same sizes again
